@@ -10,7 +10,8 @@
 //!   subset ([`yaml`]) with [`SpecError`]s that carry the offending
 //!   1-based line, and printed back canonically by
 //!   [`CampaignSpec::to_yaml`] (exact round-trip).
-//! * [`CampaignRunner`] — the concurrent job scheduler: many campaigns
+//! * [`CampaignRunner`] — the concurrent job scheduler: one job per
+//!   (campaign, array) solving all its loads as one batch, many campaigns
 //!   admitted together, bounded in-flight jobs, round-robin fairness
 //!   across campaigns, one shared simulator (and
 //!   [`FactorCache`](morestress_linalg::FactorCache)) per distinct

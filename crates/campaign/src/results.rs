@@ -3,10 +3,13 @@
 //! use, validated by the `check_bench_json` CI gate.
 //!
 //! Layout: one summary section per campaign (job/solved/failed tallies
-//! and the shared-cache counters) plus one section per job. Sections are
-//! prefixed with the campaign's input index so two campaigns with the
-//! same name cannot collide, and every section carries the uniform
-//! `hardware_threads`/`git_commit` stamps the gate requires.
+//! and the shared-cache counters) plus one section per (array, load)
+//! pair. A load's `wall_ms` and the other global-stage cost fields
+//! (`iterations`, `shards_*`) describe the batch that solved all of the
+//! array's finite loads together, so the loads of one array share them.
+//! Sections are prefixed with the campaign's input index so two campaigns
+//! with the same name cannot collide, and every section carries the
+//! uniform `hardware_threads`/`git_commit` stamps the gate requires.
 //!
 //! Everything emitted is a number. Exact values that do not fit an `f64`
 //! directly are split: the 64-bit job checksum is stored as
@@ -20,7 +23,7 @@ use morestress_bench::{format_bench_sections, git_commit_number, hardware_thread
 use crate::runner::{CampaignReport, JobOutcome};
 
 /// Renders reports into bench-record sections, in canonical order:
-/// campaign-major, summary first, then jobs (array-major, load-minor).
+/// campaign-major, summary first, then loads (array-major, load-minor).
 /// The `hardware_threads`/`git_commit` stamps are appended to every
 /// section here, so the output passes `check_bench_sections` as-is.
 pub fn campaign_sections(reports: &[CampaignReport]) -> Vec<BenchSection> {

@@ -1,20 +1,26 @@
 //! `CampaignRunner`: the concurrent job scheduler that admits many
 //! campaigns against one shared simulator stack.
 //!
-//! Every (campaign, array, load) triple becomes one *job*. Campaigns
+//! Every (campaign, array) pair becomes one *job*: the assembled global
+//! operator does not depend on the thermal load, so the job solves all
+//! of the array's finite loads as one batch
+//! ([`MoreStressSimulator::solve_array_many`]: one assembly, one
+//! boundary-condition reduction, one prepare), then samples and
+//! checksums each load. Reports stay one per (array, load). Campaigns
 //! whose [`model_key`](CampaignSpec::model_key) agree share one
 //! [`MoreStressSimulator`] — and therefore one
 //! [`FactorCache`](morestress_linalg::FactorCache), so two campaigns over
 //! the same lattice pay one factorization between them. Jobs run on the
 //! process-wide [`WorkPool`] under bounded admission, and each job is
-//! isolated: a panic or a typed solver failure becomes that job's
-//! [`JobOutcome::Failed`] without sinking the campaign (the PR 8
-//! containment surface, extended to the scheduler).
+//! isolated: a panic or a typed solver failure becomes a
+//! [`JobOutcome::Failed`] without sinking the campaign. A non-finite load
+//! is filtered out before the batch and fails alone; a typed error or a
+//! panic inside the batch fails every finite load of that array.
 //!
 //! **Determinism**: job *results* are a pure function of the specs. The
 //! report order is canonical (campaign-major, array-major, load-minor)
 //! regardless of admission order or completion interleaving, and every
-//! solved job's checksum is bitwise identical across pool caps — only
+//! solved load's checksum is bitwise identical across pool caps — only
 //! wall times and cache hit/miss tallies may vary with scheduling.
 
 use std::panic::{self, AssertUnwindSafe};
@@ -30,8 +36,8 @@ use crate::spec::CampaignSpec;
 /// admitted together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionOrder {
-    /// FIFO with fairness: one job from each campaign in turn, so a
-    /// large campaign cannot starve a small one (the default).
+    /// FIFO with fairness: one array job from each campaign in turn, so
+    /// a large campaign cannot starve a small one (the default).
     #[default]
     RoundRobin,
     /// Strict FIFO: all of campaign 0, then all of campaign 1, …
@@ -41,7 +47,7 @@ pub enum AdmissionOrder {
 /// How one job ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome {
-    /// The solve completed.
+    /// The load solved.
     Solved {
         /// FNV-1a over the displacement and midplane-stress bits —
         /// the value the determinism suite compares across pool caps.
@@ -50,12 +56,14 @@ pub enum JobOutcome {
         peak_displacement: f64,
         /// Peak midplane von Mises stress (MPa).
         peak_von_mises: f64,
-        /// Cost accounting of the global-stage solve (boxed: it is an
-        /// order of magnitude larger than the `Failed` variant).
+        /// Cost accounting of the global-stage batch that solved all of
+        /// the array's finite loads together — an aggregate shared by
+        /// those loads, not a per-load cost (boxed: it is an order of
+        /// magnitude larger than the `Failed` variant).
         stats: Box<GlobalStats>,
     },
-    /// The job failed — typed solver error, invalid load, or a caught
-    /// panic. The campaign keeps running.
+    /// The load failed — a non-finite load, or a typed solver error or
+    /// caught panic in its array's batch. The campaign keeps running.
     Failed {
         /// Human-readable failure description.
         error: String,
@@ -69,7 +77,8 @@ impl JobOutcome {
     }
 }
 
-/// The report of one job, in canonical order within its campaign.
+/// The report of one (array, load) pair, in canonical order within its
+/// campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// Name of the campaign the job belongs to.
@@ -89,14 +98,15 @@ pub struct JobReport {
 pub struct CampaignReport {
     /// Campaign name (from the spec).
     pub name: String,
-    /// One report per (array, load) job, campaign-canonical order:
+    /// One report per (array, load) pair, campaign-canonical order:
     /// array-major, load-minor — independent of scheduling.
     pub jobs: Vec<JobReport>,
     /// Hits on the shared [`FactorCache`](morestress_linalg::FactorCache)
-    /// of this campaign's simulator group after the run. Campaigns with
-    /// equal model keys share the counter; under concurrent admission the
-    /// tally may exceed the single-threaded value, never undercount
-    /// sharing.
+    /// of this campaign's simulator group after the run. The cache sees
+    /// one prepare per array job (not per load), so a lone campaign over
+    /// distinct arrays tallies no hits. Campaigns with equal model keys
+    /// share the counter; under concurrent admission the tally may differ
+    /// from the serial value.
     pub cache_hits: usize,
     /// Misses on the shared cache after the run (= distinct operators
     /// factored, when admission is serial).
@@ -122,14 +132,13 @@ pub struct CampaignRunner {
     admission: AdmissionOrder,
 }
 
-/// One admitted job, resolved to indices.
+/// One admitted job — every load of one array — resolved to indices.
 #[derive(Clone, Copy)]
 struct Job {
-    /// Position in the canonical report order (campaign-major).
+    /// Position in the canonical job order (campaign-major).
     slot: usize,
     campaign: usize,
     array: usize,
-    load: usize,
 }
 
 impl CampaignRunner {
@@ -139,8 +148,8 @@ impl CampaignRunner {
         Self::default()
     }
 
-    /// Bounds how many jobs may be in flight at once (clamped to the
-    /// [`WorkPool`] cap; 0 = up to the cap).
+    /// Bounds how many array jobs may be in flight at once (clamped to
+    /// the [`WorkPool`] cap; 0 = up to the cap).
     pub fn max_in_flight(mut self, jobs: usize) -> Self {
         self.max_in_flight = jobs;
         self
@@ -180,22 +189,18 @@ impl CampaignRunner {
             group_of.push(gi);
         }
 
-        // Canonical slots: campaign-major, array-major, load-minor.
+        // Canonical slots: campaign-major, array-minor.
         let mut per_campaign: Vec<Vec<Job>> = Vec::with_capacity(specs.len());
         let mut slot = 0;
         for (ci, spec) in specs.iter().enumerate() {
-            let mut jobs = Vec::with_capacity(spec.arrays.len() * spec.loads.len());
-            for ai in 0..spec.arrays.len() {
-                for li in 0..spec.loads.len() {
-                    jobs.push(Job {
-                        slot,
-                        campaign: ci,
-                        array: ai,
-                        load: li,
-                    });
-                    slot += 1;
-                }
-            }
+            let jobs = (0..spec.arrays.len())
+                .map(|ai| Job {
+                    slot: slot + ai,
+                    campaign: ci,
+                    array: ai,
+                })
+                .collect();
+            slot += spec.arrays.len();
             per_campaign.push(jobs);
         }
         let total = slot;
@@ -226,14 +231,14 @@ impl CampaignRunner {
         let workers = bound.min(total.max(1));
 
         let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<JobReport>>> = Mutex::new(vec![None; total]);
+        let results: Mutex<Vec<Option<Vec<JobReport>>>> = Mutex::new(vec![None; total]);
         pool.scope_workers(workers, |_worker| loop {
             let idx = next.fetch_add(1, Ordering::Relaxed);
             let Some(job) = queue.get(idx) else { break };
             let spec = &specs[job.campaign];
             let sim = &groups[group_of[job.campaign]].1;
-            let report = run_job(spec, sim, job);
-            results.lock().expect("results lock")[job.slot] = Some(report);
+            let reports = run_job(spec, sim, job.array);
+            results.lock().expect("results lock")[job.slot] = Some(reports);
         });
 
         let mut slots = results.into_inner().expect("results lock").into_iter();
@@ -241,7 +246,7 @@ impl CampaignRunner {
         for (ci, spec) in specs.iter().enumerate() {
             let jobs: Vec<JobReport> = per_campaign[ci]
                 .iter()
-                .map(|_| slots.next().flatten().expect("every slot filled"))
+                .flat_map(|_| slots.next().flatten().expect("every slot filled"))
                 .collect();
             let cache = groups[group_of[ci]].1.factor_cache();
             reports.push(CampaignReport {
@@ -255,60 +260,83 @@ impl CampaignRunner {
     }
 }
 
-/// Solves one job with full fault containment: typed errors and panics
-/// both land in [`JobOutcome::Failed`].
-fn run_job(spec: &CampaignSpec, sim: &MoreStressSimulator, job: &Job) -> JobReport {
-    let load = spec.loads[job.load];
-    let outcome = if !load.is_finite() {
-        JobOutcome::Failed {
-            error: format!("load {load} is not finite"),
-        }
+/// Solves every load of one array with full fault containment and
+/// returns one report per load, in load order. Non-finite loads fail
+/// alone; the finite ones are solved as one batch, and a typed error or a
+/// panic in that batch fails each of them.
+fn run_job(spec: &CampaignSpec, sim: &MoreStressSimulator, array: usize) -> Vec<JobReport> {
+    let finite: Vec<f64> = spec
+        .loads
+        .iter()
+        .copied()
+        .filter(|l| l.is_finite())
+        .collect();
+    let batch = if finite.is_empty() {
+        Ok(Vec::new())
     } else {
-        match panic::catch_unwind(AssertUnwindSafe(|| solve_job(spec, sim, job, load))) {
-            Ok(Ok(outcome)) => outcome,
-            Ok(Err(e)) => JobOutcome::Failed {
-                error: e.to_string(),
-            },
+        match panic::catch_unwind(AssertUnwindSafe(|| solve_batch(spec, sim, array, &finite))) {
+            Ok(result) => result.map_err(|e| e.to_string()),
             // `&*payload`, not `&payload`: coercing `&Box<dyn Any>` would
             // make the *box* the `Any` and every downcast miss.
-            Err(payload) => JobOutcome::Failed {
-                error: format!("panic: {}", panic_message(&*payload)),
-            },
+            Err(payload) => Err(format!("panic: {}", panic_message(&*payload))),
         }
     };
-    JobReport {
-        campaign: spec.name.clone(),
-        array_index: job.array,
-        load_index: job.load,
-        load,
-        outcome,
-    }
+    let mut outcomes = match batch {
+        Ok(outcomes) => outcomes.into_iter(),
+        Err(error) => vec![JobOutcome::Failed { error }; finite.len()].into_iter(),
+    };
+    spec.loads
+        .iter()
+        .enumerate()
+        .map(|(load_index, &load)| {
+            let outcome = if load.is_finite() {
+                outcomes.next().expect("one outcome per finite load")
+            } else {
+                JobOutcome::Failed {
+                    error: format!("load {load} is not finite"),
+                }
+            };
+            JobReport {
+                campaign: spec.name.clone(),
+                array_index: array,
+                load_index,
+                load,
+                outcome,
+            }
+        })
+        .collect()
 }
 
-fn solve_job(
+fn solve_batch(
     spec: &CampaignSpec,
     sim: &MoreStressSimulator,
-    job: &Job,
-    load: f64,
-) -> Result<JobOutcome, RomError> {
-    let layout = spec.arrays[job.array].layout();
-    let solution = sim.solve_array(&layout, load, &GlobalBc::ClampedTopBottom)?;
-    let field = sim.sample_midplane(&layout, &solution, load, 4)?;
-    let mut checksum = Fnv1a::new();
-    let mut peak_displacement = 0.0f64;
-    for &u in solution.nodal_displacement() {
-        checksum.write_f64(u);
-        peak_displacement = peak_displacement.max(u.abs());
-    }
-    for &v in &field.values {
-        checksum.write_f64(v);
-    }
-    Ok(JobOutcome::Solved {
-        checksum: checksum.finish(),
-        peak_displacement,
-        peak_von_mises: field.max(),
-        stats: Box::new(solution.stats),
-    })
+    array: usize,
+    loads: &[f64],
+) -> Result<Vec<JobOutcome>, RomError> {
+    let layout = spec.arrays[array].layout();
+    let solutions = sim.solve_array_many(&layout, loads, &GlobalBc::ClampedTopBottom)?;
+    solutions
+        .into_iter()
+        .zip(loads)
+        .map(|(solution, &load)| {
+            let field = sim.sample_midplane(&layout, &solution, load, 4)?;
+            let mut checksum = Fnv1a::new();
+            let mut peak_displacement = 0.0f64;
+            for &u in solution.nodal_displacement() {
+                checksum.write_f64(u);
+                peak_displacement = peak_displacement.max(u.abs());
+            }
+            for &v in &field.values {
+                checksum.write_f64(v);
+            }
+            Ok(JobOutcome::Solved {
+                checksum: checksum.finish(),
+                peak_displacement,
+                peak_von_mises: field.max(),
+                stats: Box::new(solution.stats),
+            })
+        })
+        .collect()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {

@@ -8,34 +8,43 @@ use morestress_campaign::{
 use morestress_linalg::{FaultPlan, WorkPool};
 use morestress_mesh::TsvGeometry;
 
+fn array(x: usize, y: usize, ring: usize) -> ArraySpec {
+    ArraySpec {
+        tsv_num_x: x,
+        tsv_num_y: y,
+        dummy_tsv_num_x: ring,
+        dummy_tsv_num_y: ring,
+    }
+}
+
 fn base_spec(name: &str) -> CampaignSpec {
     CampaignSpec {
         name: name.to_string(),
         materials: Vec::new(),
         geometry: TsvGeometry::paper_defaults(15.0),
         loads: vec![-250.0, 85.0],
-        arrays: vec![
-            ArraySpec {
-                tsv_num_x: 2,
-                tsv_num_y: 1,
-                dummy_tsv_num_x: 0,
-                dummy_tsv_num_y: 0,
-            },
-            ArraySpec {
-                tsv_num_x: 1,
-                tsv_num_y: 2,
-                dummy_tsv_num_x: 0,
-                dummy_tsv_num_y: 0,
-            },
-        ],
+        arrays: vec![array(2, 1, 0), array(1, 2, 0)],
         solver: SolverSpec::default(),
     }
+}
+
+/// A `shards: 4` campaign over mixed array sizes under one model key, so
+/// concurrent array jobs prepare different lattices on one shared
+/// sharded backend at the same time.
+fn sharded_spec(name: &str, arrays: Vec<ArraySpec>, loads: Vec<f64>) -> CampaignSpec {
+    let mut spec = base_spec(name);
+    spec.solver.shards = 4;
+    spec.arrays = arrays;
+    spec.loads = loads;
+    spec
 }
 
 /// The scheduling-independent projection of a run: everything except
 /// wall times and cache tallies must be identical across pool caps and
 /// admission orders.
 fn deterministic_core(reports: &[CampaignReport]) -> Vec<(String, usize, usize, u64, Vec<u64>)> {
+    // `plan_stats.geometric` is deterministic too: a planner that saw
+    // another job's partition hint would fall back to the graph route.
     reports
         .iter()
         .flat_map(|r| r.jobs.iter())
@@ -54,6 +63,7 @@ fn deterministic_core(reports: &[CampaignReport]) -> Vec<(String, usize, usize, 
                     stats.total_dofs as u64,
                     stats.free_dofs as u64,
                     stats.shards as u64,
+                    stats.plan_stats.map_or(2, |p| u64::from(p.geometric)),
                 ],
                 JobOutcome::Failed { error } => {
                     vec![0, error.len() as u64]
@@ -72,43 +82,60 @@ fn deterministic_core(reports: &[CampaignReport]) -> Vec<(String, usize, usize, 
 
 #[test]
 fn results_are_identical_across_pool_caps_and_admission_orders() {
-    let specs = [base_spec("alpha"), {
+    let monolithic = [base_spec("alpha"), {
         let mut spec = base_spec("beta");
         spec.loads = vec![-100.0, 42.0, 7.5];
         spec.arrays.truncate(1);
         spec
     }];
+    let sharded = [
+        sharded_spec(
+            "sharded-a",
+            vec![array(4, 4, 1), array(2, 3, 1), array(3, 3, 1)],
+            vec![-250.0, -100.0, 42.0, 85.0],
+        ),
+        sharded_spec("sharded-b", vec![array(3, 2, 1)], vec![60.0, -150.0, 10.0]),
+    ];
 
-    let run = |cap: usize, order: AdmissionOrder| {
-        WorkPool::new(cap).install(|| {
-            CampaignRunner::new()
-                .admission(order)
-                .run(&specs)
-                .expect("campaigns run")
-        })
-    };
+    for (specs, solved) in [(&monolithic, 7), (&sharded, 15)] {
+        let run = |cap: usize, order: AdmissionOrder| {
+            WorkPool::new(cap).install(|| {
+                CampaignRunner::new()
+                    .admission(order)
+                    .run(specs)
+                    .expect("campaigns run")
+            })
+        };
 
-    let baseline = run(1, AdmissionOrder::Sequential);
-    assert_eq!(baseline.len(), 2);
-    assert_eq!(baseline[0].solved() + baseline[1].solved(), 7);
-    let core = deterministic_core(&baseline);
-    // Canonical report order, independent of everything.
-    assert_eq!(core[0].0, "alpha");
-    assert!(core
-        .windows(2)
-        .all(|w| w[0].0 < w[1].0 || (w[0].1, w[0].2) < (w[1].1, w[1].2)));
+        let baseline = run(1, AdmissionOrder::Sequential);
+        assert_eq!(baseline.len(), 2);
+        assert_eq!(baseline[0].solved() + baseline[1].solved(), solved);
+        let core = deterministic_core(&baseline);
+        // Canonical report order, independent of everything.
+        assert_eq!(core[0].0, specs[0].name);
+        assert!(core
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 || (w[0].1, w[0].2) < (w[1].1, w[1].2)));
+        if specs[0].solver.shards > 1 {
+            // The sharded case must really shard, along the geometric
+            // route (outcome fields 6 and 7: shard count, geometric).
+            assert!(
+                core.iter().all(|job| job.4[6] > 1 && job.4[7] == 1),
+                "every sharded job must split geometrically"
+            );
+        }
 
-    for (cap, order) in [
-        (2, AdmissionOrder::RoundRobin),
-        (8, AdmissionOrder::RoundRobin),
-        (8, AdmissionOrder::Sequential),
-    ] {
-        let reports = run(cap, order);
-        assert_eq!(
-            deterministic_core(&reports),
-            core,
-            "cap {cap}, {order:?} must reproduce the serial run bitwise"
-        );
+        for cap in [1, 2, 8] {
+            for order in [AdmissionOrder::RoundRobin, AdmissionOrder::Sequential] {
+                let reports = run(cap, order);
+                assert_eq!(
+                    deterministic_core(&reports),
+                    core,
+                    "{}: cap {cap}, {order:?} must reproduce the serial run bitwise",
+                    specs[0].name
+                );
+            }
+        }
     }
 }
 
@@ -118,9 +145,11 @@ fn same_model_campaigns_share_one_factor_cache() {
     let mut second = base_spec("second");
     second.loads = vec![-150.0, 60.0]; // different loads, same model + lattices
 
-    // Serial admission makes the cache tallies exact: the two campaigns
-    // cover 2 distinct lattices x 4 solves each = 2 misses, 6 hits —
-    // *across* campaigns, provable only if they share one cache.
+    // Serial admission makes the cache tallies exact. Each array job
+    // prepares once for all its loads, so the two campaigns make 4
+    // prepares over 2 distinct lattices: 2 misses, then 2 hits — made
+    // *across* campaigns, so they prove the campaigns share one cache
+    // (separate caches would miss twice more).
     let reports = WorkPool::new(1).install(|| {
         CampaignRunner::new()
             .admission(AdmissionOrder::Sequential)
@@ -131,7 +160,10 @@ fn same_model_campaigns_share_one_factor_cache() {
     assert_eq!(reports[1].solved(), 4);
     for report in &reports {
         assert_eq!(report.cache_misses, 2, "one miss per distinct lattice");
-        assert_eq!(report.cache_hits, 6, "every other solve reuses a factor");
+        assert_eq!(
+            report.cache_hits, 2,
+            "the second campaign reuses both factors"
+        );
     }
 }
 
@@ -163,16 +195,11 @@ fn poisoned_load_fails_one_job_not_the_campaign() {
 #[test]
 fn panicking_job_is_contained_with_its_message() {
     let mut spec = base_spec("panicky");
-    spec.loads = vec![-250.0];
+    spec.loads = vec![-250.0, 85.0];
     // An empty array: `BlockLayout::uniform(0, 0, ..)` asserts inside the
-    // job — the panic must become that job's Failed outcome, not sink
-    // the run (scope_workers would otherwise rethrow it).
-    spec.arrays.push(ArraySpec {
-        tsv_num_x: 0,
-        tsv_num_y: 0,
-        dummy_tsv_num_x: 0,
-        dummy_tsv_num_y: 0,
-    });
+    // job — the panic must fail every load of that array's batch, not
+    // sink the run (scope_workers would otherwise rethrow it).
+    spec.arrays.push(array(0, 0, 0));
 
     let reports = WorkPool::new(2).install(|| {
         CampaignRunner::new()
@@ -180,21 +207,18 @@ fn panicking_job_is_contained_with_its_message() {
             .expect("campaign completes")
     });
     let report = &reports[0];
-    assert_eq!(report.solved(), 2);
-    assert_eq!(report.failed(), 1);
-    let failed = report
-        .jobs
-        .iter()
-        .find(|j| !j.outcome.is_solved())
-        .expect("the empty array fails");
-    assert_eq!(failed.array_index, 2);
-    match &failed.outcome {
-        JobOutcome::Failed { error } => {
-            assert!(
-                error.contains("panic") && error.contains("non-empty"),
-                "panic payload surfaced: {error}"
-            );
+    assert_eq!(report.solved(), 4);
+    assert_eq!(report.failed(), 2);
+    for job in &report.jobs {
+        match &job.outcome {
+            JobOutcome::Failed { error } => {
+                assert_eq!(job.array_index, 2, "only the empty array fails");
+                assert!(
+                    error.contains("panic") && error.contains("non-empty"),
+                    "panic payload surfaced: {error}"
+                );
+            }
+            JobOutcome::Solved { .. } => assert_ne!(job.array_index, 2),
         }
-        JobOutcome::Solved { .. } => unreachable!(),
     }
 }

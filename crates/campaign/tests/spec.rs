@@ -10,6 +10,10 @@ fn example_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign.yml")
 }
 
+fn sharded_example_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaign_sharded.yml")
+}
+
 #[test]
 fn checked_in_example_parses_and_round_trips() {
     let spec = CampaignSpec::from_file(example_path()).expect("examples/campaign.yml parses");
@@ -33,6 +37,27 @@ fn checked_in_example_parses_and_round_trips() {
     assert_eq!(reparsed, spec);
     // And the canonical form is a fixed point.
     assert_eq!(reparsed.to_yaml(), spec.to_yaml());
+}
+
+/// The sharded example the CI smoke job runs serial and saturated: two
+/// array sizes that share one model (both need the dummy ROM), at least
+/// three loads, `shards: 4`.
+#[test]
+fn sharded_example_parses_and_round_trips() {
+    let spec = CampaignSpec::from_file(sharded_example_path())
+        .expect("examples/campaign_sharded.yml parses");
+    assert_eq!(spec.solver.shards, 4);
+    assert!(spec.loads.len() >= 3);
+    assert_eq!(spec.arrays.len(), 2);
+    assert!(spec.arrays.iter().all(|a| a.needs_dummy()));
+    let sizes: Vec<_> = spec
+        .arrays
+        .iter()
+        .map(|a| (a.layout().nx(), a.layout().ny()))
+        .collect();
+    assert_ne!(sizes[0], sizes[1], "two different array sizes");
+    let reparsed = CampaignSpec::parse(&spec.to_yaml()).expect("canonical form parses");
+    assert_eq!(reparsed, spec);
 }
 
 #[test]

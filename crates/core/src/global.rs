@@ -698,8 +698,10 @@ impl<'a> GlobalStage<'a> {
         // Geometry hint for the sharded backend's partitioner: each free DoF
         // maps to the inclusive block-grid footprint of its lattice node, so
         // the planner can cut the reduced operator along block boundaries
-        // instead of searching the (dense) reduced sparsity graph. Backends
-        // that cannot use it ignore it.
+        // instead of searching the (dense) reduced sparsity graph. The hint
+        // rides on a per-solve view of the backend, so concurrent solves
+        // through one shared backend each plan under their own geometry.
+        // Backends that cannot use it return no view and solve as-is.
         let grid = [layout.nx(), layout.ny()];
         let spans = reduced
             .free_dofs
@@ -711,7 +713,8 @@ impl<'a> GlobalStage<'a> {
                 [sx[0], sx[1], sy[0], sy[1]]
             })
             .collect();
-        backend.set_partition_hint(Some(Arc::new(PartitionHint::new(grid, spans))));
+        let hinted = backend.with_partition_hint(Arc::new(PartitionHint::new(grid, spans)));
+        let backend = hinted.as_deref().unwrap_or(backend);
         let batch = match self.cache {
             // The cache-backed path self-heals: a cached factor that fails
             // its solve (or needs more ladder recovery than its own

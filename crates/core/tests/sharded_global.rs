@@ -12,9 +12,11 @@
 //! bit equality with the monolithic factor is not expected — but the
 //! condensation is algebraically exact, so everything beyond rounding is.
 
+use std::sync::Barrier;
+
 use morestress_core::{
     GlobalBc, GlobalStage, InterpolationGrid, LocalStage, LocalStageOptions, MoreStressSimulator,
-    ReducedOrderModel, RomSolver,
+    ReducedOrderModel, RomSolver, SimulatorBuilder,
 };
 use morestress_fem::MaterialSet;
 use morestress_linalg::{ShardPlan, Sharded};
@@ -288,4 +290,78 @@ fn one_shard_request_is_bitwise_monolithic() {
             "one-shard solve must equal the monolithic bits"
         );
     }
+}
+
+/// Regression for the shared-hint race: two threads solving different
+/// array sizes through one shared `shards(4)` simulator must each plan
+/// under their own array's partition hint. A hint shared between callers
+/// let one solve fingerprint and plan under the other's geometry, which
+/// falls back to the graph planner and changes the bits. Each round moves
+/// one dummy block, so most rounds miss the factor cache and prepare.
+#[test]
+fn concurrent_solves_on_one_sharded_simulator_keep_their_own_hints() {
+    const ROUNDS: usize = 40;
+    let sharded = |tsv: ReducedOrderModel, dummy: ReducedOrderModel| {
+        SimulatorBuilder::from_models(tsv, Some(dummy))
+            .shards(4)
+            .build()
+            .expect("simulator builds")
+    };
+    let shared = sharded(build_rom(BlockKind::Tsv), build_rom(BlockKind::Dummy));
+    let serial = sharded(
+        shared.tsv_model().clone(),
+        shared.dummy_model().expect("dummy ROM").clone(),
+    );
+    let bc = GlobalBc::ClampedTopBottom;
+    // Round r of a case turns one interior TSV into a dummy block.
+    let rounds = |base: BlockLayout, load: f64| -> Vec<(BlockLayout, f64)> {
+        let (ix, iy) = (base.nx() - 2, base.ny() - 2);
+        (0..ROUNDS)
+            .map(|r| {
+                let mut layout = base.clone();
+                layout.set_kind(1 + r % ix, 1 + (r / ix) % iy, BlockKind::Dummy);
+                (layout, load)
+            })
+            .collect()
+    };
+    let cases = [
+        rounds(BlockLayout::uniform(3, 3, BlockKind::Tsv).padded(1), -250.0),
+        rounds(BlockLayout::uniform(2, 3, BlockKind::Tsv).padded(1), 85.0),
+    ];
+    let references: Vec<Vec<Vec<f64>>> = cases
+        .iter()
+        .map(|case| {
+            case.iter()
+                .map(|(layout, load)| {
+                    serial
+                        .solve_array(layout, *load, &bc)
+                        .expect("serial solve")
+                        .nodal_displacement()
+                        .to_vec()
+                })
+                .collect()
+        })
+        .collect();
+
+    let start = Barrier::new(cases.len());
+    std::thread::scope(|scope| {
+        for (case, references) in cases.iter().zip(&references) {
+            let (shared, start, bc) = (&shared, &start, &bc);
+            scope.spawn(move || {
+                start.wait();
+                for (round, ((layout, load), reference)) in case.iter().zip(references).enumerate()
+                {
+                    let label = format!("{}x{} round {round}", layout.nx(), layout.ny());
+                    let solution = shared.solve_array(layout, *load, bc).expect("shared solve");
+                    let plan = solution.stats.plan_stats.expect("sharded plan stats");
+                    assert!(plan.geometric, "{label}: planned without its own hint");
+                    assert_eq!(
+                        solution.nodal_displacement(),
+                        &reference[..],
+                        "{label}: differs from the serial solve"
+                    );
+                }
+            });
+        }
+    });
 }

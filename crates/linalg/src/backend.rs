@@ -443,14 +443,24 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
         false
     }
 
-    /// Supplies (or clears) the geometry [`PartitionHint`] the next
-    /// [`prepare`](SolverBackend::prepare) should partition under.
+    /// A view of this backend that partitions under the geometry
+    /// [`PartitionHint`] `hint`, or `None` when the backend has no use for
+    /// one (the default).
     ///
-    /// Only the [`Sharded`](crate::Sharded) backend acts on it — the
-    /// default is a no-op, so callers that know the operator's block-grid
-    /// provenance (the ROM global stage) can hand it to whatever backend
-    /// they were configured with without downcasting.
-    fn set_partition_hint(&self, _hint: Option<Arc<PartitionHint>>) {}
+    /// The hint travels with the returned view, not with `self`: its
+    /// [`config_fingerprint`](SolverBackend::config_fingerprint),
+    /// [`accepts_cached`](SolverBackend::accepts_cached) and
+    /// [`prepare`](SolverBackend::prepare) all see the same hint, so
+    /// concurrent callers each planning under their own geometry cannot
+    /// overwrite one another's. Only the [`Sharded`](crate::Sharded)
+    /// backend returns a view; it shares the original's internal shard
+    /// cache and retained previous preparation. Callers that know the
+    /// operator's block-grid provenance (the ROM global stage) ask for a
+    /// view per solve and fall back to `self` on `None`, without
+    /// downcasting.
+    fn with_partition_hint(&self, _hint: Arc<PartitionHint>) -> Option<Box<dyn SolverBackend>> {
+        None
+    }
 }
 
 /// A prepared direct factorization: the supernodal blocked kernel (the

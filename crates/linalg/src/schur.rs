@@ -70,15 +70,14 @@ pub struct Sharded {
     /// memory price of O(changed shards) re-preparation in placement and
     /// optimization loops.
     prev: Arc<Mutex<Option<PrevPrepared>>>,
-    /// Whether `prepare` may take the geometric planner route when a
-    /// [`PartitionHint`] has been supplied (`true` by default);
-    /// [`Sharded::without_hint`] turns it off for planner A/B comparisons.
+    /// Whether [`SolverBackend::with_partition_hint`] hands out hinted
+    /// views (`true` by default); [`Sharded::without_hint`] turns the
+    /// geometric planner route off for planner A/B comparisons.
     use_hint: bool,
-    /// The caller-supplied geometry hint for the *next* preparation, shared
-    /// across clones (interior mutability because
-    /// [`SolverBackend::set_partition_hint`] takes `&self`, like the other
-    /// backend hooks).
-    hint: Arc<Mutex<Option<Arc<PartitionHint>>>>,
+    /// The geometry hint this backend plans under. Set only on the views
+    /// [`SolverBackend::with_partition_hint`] returns, so each caller's
+    /// hint stays with its own view.
+    hint: Option<Arc<PartitionHint>>,
 }
 
 /// The retained base of the incremental route: the previous operator and
@@ -125,30 +124,19 @@ impl Sharded {
             cache: Arc::new(FactorCache::with_capacity(2 * shards.max(1) + 2)),
             prev: Arc::new(Mutex::new(None)),
             use_hint: true,
-            hint: Arc::new(Mutex::new(None)),
+            hint: None,
         }
     }
 
     /// Disables the geometric (hint-driven) planner route: `prepare`
-    /// always partitions from the sparsity graph, ignoring any supplied
-    /// [`PartitionHint`]. This is the planner A/B lever — the
+    /// always partitions from the sparsity graph, and
+    /// [`SolverBackend::with_partition_hint`] returns `None`. This is the
+    /// planner A/B lever — the
     /// `ablation_shard_balance` bench drives both planners through the
     /// otherwise-identical pipeline with it.
     pub fn without_hint(mut self) -> Self {
         self.use_hint = false;
         self
-    }
-
-    /// The hint the next preparation will plan under (`None` when unset or
-    /// when the geometric route is disabled).
-    fn effective_hint(&self) -> Option<Arc<PartitionHint>> {
-        if !self.use_hint {
-            return None;
-        }
-        self.hint
-            .lock()
-            .expect("sharded hint state poisoned")
-            .clone()
     }
 
     /// The internal per-shard factor cache (hit/miss counters included).
@@ -175,7 +163,7 @@ impl SolverBackend for Sharded {
         // which is what makes per-shard reuse bitwise safe. Any mismatch
         // (different config, different pattern, different hint, first
         // call) falls through to the from-scratch route.
-        let hint = self.effective_hint();
+        let hint = self.hint.clone();
         let prev = self
             .prev
             .lock()
@@ -216,15 +204,22 @@ impl SolverBackend for Sharded {
         // order and therefore the bits of the result, so both must split
         // cache entries; the internal cache identity must not (clones
         // share semantics).
-        let hint = self.effective_hint().map_or(0, |h| h.fingerprint());
+        let hint = self.hint.as_ref().map_or(0, |h| h.fingerprint());
         0x50 ^ (self.shards as u64).rotate_left(32)
             ^ self.inner.config_fingerprint().rotate_left(4)
             ^ self.verify.fingerprint().rotate_left(44)
             ^ hint.rotate_left(20)
     }
 
-    fn set_partition_hint(&self, hint: Option<Arc<PartitionHint>>) {
-        *self.hint.lock().expect("sharded hint state poisoned") = hint;
+    fn with_partition_hint(&self, hint: Arc<PartitionHint>) -> Option<Box<dyn SolverBackend>> {
+        // A clone shares the shard cache and the retained preparation
+        // (both behind `Arc`s) but owns its hint.
+        self.use_hint.then(|| {
+            Box::new(Sharded {
+                hint: Some(hint),
+                ..self.clone()
+            }) as Box<dyn SolverBackend>
+        })
     }
 
     fn accepts_cached(&self, prepared: &PreparedSolver, a: &CsrMatrix) -> bool {
@@ -240,8 +235,7 @@ impl SolverBackend for Sharded {
         };
         prepared.verify_policy() == self.verify
             && schur.inner_fingerprint() == self.inner.config_fingerprint()
-            && *schur.plan()
-                == ShardPlan::build_hinted(a, self.shards, self.effective_hint().as_deref())
+            && *schur.plan() == ShardPlan::build_hinted(a, self.shards, self.hint.as_deref())
     }
 }
 
@@ -1422,8 +1416,9 @@ mod tests {
             .unwrap()
             .solve_many(&rhs, 4)
             .unwrap();
-        let backend = Sharded::new(4);
-        backend.set_partition_hint(Some(Arc::new(hint)));
+        let backend = Sharded::new(4)
+            .with_partition_hint(Arc::new(hint))
+            .expect("sharded backends take hints");
         let prepared = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = prepared.schur().expect("sharded engine");
         let stats = schur.plan_stats();
@@ -1454,8 +1449,9 @@ mod tests {
         let a = Arc::new(a);
         let hint = Arc::new(hint);
         let rhs = loads(a.nrows(), 3);
-        let backend = Sharded::new(4);
-        backend.set_partition_hint(Some(Arc::clone(&hint)));
+        let backend = Sharded::new(4)
+            .with_partition_hint(Arc::clone(&hint))
+            .unwrap();
         let first = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = first.schur().expect("sharded engine");
         assert!(schur.plan_stats().geometric);
@@ -1471,8 +1467,7 @@ mod tests {
         assert_eq!(schur2.shards_refactored(), 1);
         assert_eq!(schur2.shards_reused(), k - 1);
         // Bitwise oracle: a fresh backend under the same hint, from scratch.
-        let scratch_backend = Sharded::new(4);
-        scratch_backend.set_partition_hint(Some(Arc::clone(&hint)));
+        let scratch_backend = Sharded::new(4).with_partition_hint(hint).unwrap();
         let scratch = scratch_backend.prepare(Arc::clone(&b)).unwrap();
         let xi = second.solve_many(&rhs, 4).unwrap();
         let xs = scratch.solve_many(&rhs, 4).unwrap();
@@ -1486,12 +1481,12 @@ mod tests {
         let (a, hint) = hinted_grid(4, 4, 4);
         let a = Arc::new(a);
         let backend = Sharded::new(4);
-        backend.set_partition_hint(Some(Arc::new(hint)));
-        let first = backend.prepare(Arc::clone(&a)).unwrap();
+        let hinted = backend.with_partition_hint(Arc::new(hint)).unwrap();
+        let first = hinted.prepare(Arc::clone(&a)).unwrap();
         assert!(first.schur().unwrap().plan_stats().geometric);
-        // Dropping the hint is a configuration change: same matrix, but the
-        // plan must be rebuilt from the graph — never reused incrementally.
-        backend.set_partition_hint(None);
+        // Dropping the hint is a configuration change: same matrix and a
+        // shared retained preparation, but the plan must be rebuilt from
+        // the graph — never reused incrementally.
         let second = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = second.schur().unwrap();
         assert!(!schur.plan_stats().geometric);
@@ -1499,12 +1494,50 @@ mod tests {
         assert_eq!(schur.shards_reused(), 0);
     }
 
+    /// Two hinted views of one backend interleaved the way concurrent
+    /// callers would: each view's fingerprint and plan must follow its
+    /// own hint, whatever the other view did in between.
+    #[test]
+    fn hinted_views_of_one_backend_keep_their_own_hints() {
+        let (a, hint_a) = hinted_grid(4, 4, 4);
+        let (b, hint_b) = hinted_grid(3, 3, 4);
+        let (a, hint_a) = (Arc::new(a), Arc::new(hint_a));
+        let (b, hint_b) = (Arc::new(b), Arc::new(hint_b));
+        let backend = Sharded::new(4);
+        let view_a = backend.with_partition_hint(Arc::clone(&hint_a)).unwrap();
+        let view_b = backend.with_partition_hint(Arc::clone(&hint_b)).unwrap();
+
+        let fingerprint_a = view_a.config_fingerprint();
+        let prepared_b = view_b.prepare(Arc::clone(&b)).unwrap();
+        let prepared_a = view_a.prepare(Arc::clone(&a)).unwrap();
+        assert_ne!(fingerprint_a, view_b.config_fingerprint());
+        assert_eq!(fingerprint_a, view_a.config_fingerprint());
+
+        for (prepared, m, hint) in [(prepared_a, &a, hint_a), (prepared_b, &b, hint_b)] {
+            assert!(prepared.schur().unwrap().plan_stats().geometric);
+            let rhs = loads(m.nrows(), 2);
+            let fresh = Sharded::new(4)
+                .with_partition_hint(hint)
+                .unwrap()
+                .prepare(Arc::clone(m))
+                .unwrap();
+            assert_eq!(
+                prepared.solve_many(&rhs, 2).unwrap().xs,
+                fresh.solve_many(&rhs, 2).unwrap().xs,
+                "a view's solve must match a fresh backend's bits"
+            );
+        }
+    }
+
     #[test]
     fn without_hint_pins_the_graph_planner() {
         let (a, hint) = hinted_grid(4, 4, 4);
         let a = Arc::new(a);
         let backend = Sharded::new(4).without_hint();
-        backend.set_partition_hint(Some(Arc::new(hint)));
+        assert!(
+            backend.with_partition_hint(Arc::new(hint)).is_none(),
+            "no hinted view without the geometric route"
+        );
         let prepared = backend.prepare(Arc::clone(&a)).unwrap();
         let schur = prepared.schur().expect("sharded engine");
         assert!(!schur.plan_stats().geometric, "hint must be ignored");

@@ -103,9 +103,9 @@ fn bench_batched_loads(c: &mut Criterion) {
         );
         // The same workload point goes into both records: BENCH_PR3.json
         // is the original measurement of this sweep, BENCH_PR4.json tracks
-        // how the elimination-tree-parallel factorization (and the
-        // `FillOrdering::Auto` probe, which picks RCM on this dense-row
-        // reduced operator) moved the cold point.
+        // how later factorization changes (and the `FillOrdering::Auto`
+        // probe, which picks RCM on this dense-row reduced operator) moved
+        // the cold point.
         let shared = [
             ("loads", loads.len() as f64),
             ("array", array as f64),

@@ -422,7 +422,7 @@ pub fn fmt_bytes(bytes: usize) -> String {
 
 /// A 2-D 5-point lattice with mildly jittered diagonal (`nx · ny` DoFs) —
 /// the shared ≥50k-DoF test operator of the solver ablation benches
-/// (`ablation_supernodal`, `ablation_parallel_factor`).
+/// (`ablation_supernodal`, `ablation_kernels`).
 pub fn jittered_lattice(nx: usize, ny: usize) -> morestress_linalg::CsrMatrix {
     let n = nx * ny;
     let id = |i: usize, j: usize| j * nx + i;
@@ -566,13 +566,11 @@ pub fn git_commit_number() -> f64 {
 
 /// Merges one section of benchmark numbers into the named record file at
 /// the workspace root — the single output path every bench emitter routes
-/// through (the per-bench borrow/format dance used to be duplicated across
-/// `ablation_global_solver` and `ablation_parallel_factor`).
+/// through, so no bench repeats the borrow/format dance.
 ///
 /// The file is a flat two-level JSON object `{section: {key: number}}`;
 /// each bench overwrites its own section and leaves the others in place,
-/// so `ablation_parallel_factor` and `ablation_global_solver` can both
-/// contribute to one record. Every written section is uniformly stamped
+/// so several benches can contribute to one record. Every written section is uniformly stamped
 /// with [`hardware_threads`] and [`git_commit_number`] (caller-provided
 /// values for those keys are replaced), which is what the
 /// `check_bench_json` CI gate verifies. The stored format is exactly what

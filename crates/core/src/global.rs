@@ -273,14 +273,14 @@ pub struct GlobalStats {
     /// Effective [`WorkPool`](morestress_linalg::WorkPool) worker slots the
     /// batched solve ran on (1 for serial and fully-constrained solves).
     pub workers: usize,
-    /// Worker slots the one-time numeric factorization behind this solve
-    /// used (1 for iterative backends, serial factorization, warm-cache
-    /// hits prepared serially, and fully-constrained solves).
+    /// Worker slots that ran the per-shard factor tasks of the sharded
+    /// preparation behind this solve (1 for monolithic and iterative
+    /// backends, whose preparation is one serial task, and for
+    /// fully-constrained solves).
     pub factor_workers: usize,
-    /// Resolved dense-microkernel name (`"scalar"`, `"blocked"`, `"avx2"`)
-    /// behind the direct factorization, after runtime CPU-feature
-    /// dispatch; `None` for iterative backends, the scalar reference
-    /// factorization and fully-constrained solves.
+    /// Dense-microkernel name (`"scalar"` or `"blocked"`) behind the
+    /// direct factorization; `None` for iterative backends, the scalar
+    /// reference factorization and fully-constrained solves.
     pub kernel: Option<&'static str>,
     /// Interior shards of the sharded global solve (1 for monolithic
     /// backends and fully-constrained solves).

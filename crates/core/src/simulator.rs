@@ -4,7 +4,7 @@ use std::path::PathBuf;
 
 use morestress_fem::{MaterialSet, ScalarField2d};
 use morestress_linalg::{
-    DirectCholesky, FactorCache, FillOrdering, KernelChoice, Sharded, SolverBackend, VerifyPolicy,
+    DirectCholesky, FactorCache, FillOrdering, Sharded, SolverBackend, VerifyPolicy,
 };
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
@@ -75,16 +75,12 @@ pub struct MoreStressSimulator {
 struct BackendTuning {
     verify: Option<VerifyPolicy>,
     ordering: Option<FillOrdering>,
-    kernel: Option<KernelChoice>,
 }
 
 impl BackendTuning {
     fn apply(&self, mut config: DirectCholesky) -> DirectCholesky {
         if let Some(ordering) = self.ordering {
             config.ordering = ordering;
-        }
-        if let Some(kernel) = self.kernel {
-            config.supernodal.kernel = kernel;
         }
         if let Some(verify) = self.verify {
             config.verify = verify;
@@ -126,7 +122,7 @@ fn resolve_backend(
 ///
 /// Before this builder, configuring a simulator meant assembling a
 /// [`SimulatorOptions`] (itself holding a [`LocalStageOptions`]), choosing
-/// a [`RomSolver`] variant, and — for verification, ordering or kernel
+/// a [`RomSolver`] variant, and — for verification or ordering
 /// tuning — constructing `morestress-linalg` backend structs by hand. The
 /// builder collapses all of it into one chain:
 ///
@@ -155,8 +151,8 @@ fn resolve_backend(
 /// identical** to the deprecated [`MoreStressSimulator::build`] path with
 /// default options (pinned by the `builder_equivalence` test suite).
 ///
-/// The [`verify`](Self::verify), [`ordering`](Self::ordering) and
-/// [`kernel`](Self::kernel) overrides tune the direct-Cholesky backend
+/// The [`verify`](Self::verify) and [`ordering`](Self::ordering)
+/// overrides tune the direct-Cholesky backend
 /// family (plain [`RomSolver::DirectCholesky`] and the sharded route,
 /// including each shard's inner factorization); the iterative selections
 /// (`Gmres`, `Cg`, `Auto`) keep their own configuration and ignore them.
@@ -264,15 +260,6 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Dense-microkernel override for the direct factorization (default:
-    /// [`KernelChoice::Blocked`]). The resolved kernel is part of the
-    /// factor-cache fingerprint, so mixing kernels never aliases cached
-    /// factors.
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.tuning.kernel = Some(kernel);
-        self
-    }
-
     /// Also build the dummy-block ROM (needed for layouts with dummy
     /// blocks — sub-modeling pads, keep-out zones).
     pub fn build_dummy(mut self, build_dummy: bool) -> Self {
@@ -362,7 +349,7 @@ impl SimulatorBuilder {
 impl MoreStressSimulator {
     /// Starts a [`SimulatorBuilder`] — the one front door over geometry,
     /// resolution, interpolation, materials, solver, shards, threads,
-    /// verification and ordering/kernel tuning.
+    /// verification and ordering tuning.
     pub fn builder(geom: &TsvGeometry) -> SimulatorBuilder {
         SimulatorBuilder::new(geom)
     }

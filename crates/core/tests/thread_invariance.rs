@@ -20,8 +20,8 @@ use morestress_core::{
 };
 use morestress_fem::MaterialSet;
 use morestress_linalg::{
-    CholeskyKernel, CooMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice, Sharded,
-    SolverBackend, SupernodalCholesky, SupernodalOptions, WorkPool,
+    CholeskyKernel, CooMatrix, CsrMatrix, DirectCholesky, FactorCache, FillOrdering, KernelChoice,
+    LinalgError, Sharded, SolverBackend, SupernodalCholesky, SupernodalOptions, WorkPool,
 };
 use morestress_mesh::{BlockKind, BlockLayout, BlockResolution, TsvGeometry};
 
@@ -188,15 +188,10 @@ fn panel_multi_rhs_solves_are_pool_size_invariant() {
     }
 }
 
-#[test]
-fn supernodal_factor_is_pool_size_invariant_per_kernel() {
-    // The per-kernel determinism contract of the microkernel layer: for
-    // *each* resolved kernel (scalar oracle, blocked mul_add tiles, and —
-    // under the `simd` feature on AVX2 hardware — the intrinsics kernel),
-    // the elimination-tree-parallel factorization must be bitwise
-    // identical to the serial sweep at every pool cap. Run at the default
-    // chunk budget and at a tiny one that forces update-chunk tasks plus
-    // their reduction-tree combines into the DAG.
+/// The 17×13 five-point lattice the factor tests share, with a mildly
+/// varying diagonal; nodes listed in `indefinite` get a negative diagonal
+/// instead, so the operator stops being SPD there.
+fn lattice_17x13(indefinite: &[usize]) -> CsrMatrix {
     let nx = 17;
     let ny = 13;
     let n = nx * ny;
@@ -205,7 +200,12 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
     for j in 0..ny {
         for i in 0..nx {
             let me = id(i, j);
-            coo.push(me, me, 4.1 + ((me * 7) % 5) as f64 * 0.05);
+            let diag = if indefinite.contains(&me) {
+                -4.0
+            } else {
+                4.1 + ((me * 7) % 5) as f64 * 0.05
+            };
+            coo.push(me, me, diag);
             if i > 0 {
                 coo.push(me, id(i - 1, j), -1.0);
             }
@@ -220,7 +220,57 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
             }
         }
     }
-    let a = coo.to_csr();
+    coo.to_csr()
+}
+
+/// 64-bit FNV-1a over the little-endian bit patterns of `values`.
+fn fnv1a(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn supernodal_factor_bits_are_pinned() {
+    // The update partition (streamed prefix, chunk cuts, combine-tree
+    // order) fixes the factor's low-order bits; any change to it, or to a
+    // kernel's summation order, shows up here as a checksum change.
+    let a = lattice_17x13(&[]);
+    let perm = FillOrdering::NestedDissection.permutation(&a);
+    let default_work = SupernodalOptions::default().chunk_work;
+    for (kernel, chunk_work, expected) in [
+        (KernelChoice::Scalar, default_work, 0xe4ce_4ac1_555b_4f4f),
+        (KernelChoice::Scalar, 512, 0x41ac_efea_b46d_0426),
+        (KernelChoice::Blocked, default_work, 0x8adb_21f3_499c_714a),
+        (KernelChoice::Blocked, 512, 0x697f_43ee_081d_f1f3),
+    ] {
+        let opts = SupernodalOptions {
+            kernel,
+            chunk_work,
+            ..SupernodalOptions::default()
+        };
+        let chol =
+            SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts).expect("SPD");
+        let sum = fnv1a(chol.factor_values());
+        assert_eq!(
+            sum, expected,
+            "{kernel:?} factor checksum (chunk_work {chunk_work}): {sum:#018x}"
+        );
+    }
+}
+
+#[test]
+fn supernodal_factor_is_pool_size_invariant_per_kernel() {
+    // The per-kernel determinism contract of the microkernel layer: for
+    // each kernel (scalar oracle and blocked mul_add tiles) the factor and
+    // its solve must be bitwise identical whatever pool is installed. Run
+    // at the default chunk budget and at a tiny one that forces update
+    // chunks plus their combine trees.
+    let a = lattice_17x13(&[]);
+    let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
     let perm = FillOrdering::NestedDissection.permutation(&a);
     for &kernel in KernelChoice::available() {
@@ -240,8 +290,7 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
             assert_eq!(reference.kernel_name(), kernel.resolved_name());
             let x_ref = reference.solve(&b);
             for cap in CAPS {
-                let parallel = factor(cap);
-                assert!(parallel.factor_workers() <= cap);
+                let candidate = factor(cap);
                 let label = format!(
                     "{} factor (chunk_work {chunk_work})",
                     kernel.resolved_name()
@@ -250,22 +299,56 @@ fn supernodal_factor_is_pool_size_invariant_per_kernel() {
                     &label,
                     cap,
                     reference.factor_values(),
-                    parallel.factor_values(),
+                    candidate.factor_values(),
                 );
-                assert_bitwise(&label, cap, &x_ref, &parallel.solve(&b));
+                assert_bitwise(&label, cap, &x_ref, &candidate.solve(&b));
             }
         }
     }
 }
 
 #[test]
+fn indefinite_factor_error_is_pool_size_invariant() {
+    // Bad pivots in two independent nested-dissection subtrees (opposite
+    // quadrants of the lattice). The sweep stops at the first failing
+    // panel in schedule order, so the reported row and pivot are those of
+    // the bad node eliminated first — with the other one present or not,
+    // and at every pool cap.
+    let (left, right) = (3 * 17 + 3, 9 * 17 + 13);
+    let factor_error = |indefinite: &[usize], cap: usize| {
+        let a = lattice_17x13(indefinite);
+        let perm = FillOrdering::NestedDissection.permutation(&a);
+        let opts = SupernodalOptions {
+            chunk_work: 512,
+            ..SupernodalOptions::default()
+        };
+        WorkPool::new(cap).install(|| {
+            match SupernodalCholesky::factor_with_permutation(&a, perm, &opts) {
+                Err(LinalgError::NotPositiveDefinite { row, pivot }) => (row, pivot.to_bits()),
+                other => panic!("expected a failing pivot, got {other:?}"),
+            }
+        })
+    };
+    let alone_left = factor_error(&[left], REFERENCE_CAP);
+    let alone_right = factor_error(&[right], REFERENCE_CAP);
+    assert_ne!(alone_left.0, alone_right.0, "two distinct failure sites");
+    let first = if alone_left.0 < alone_right.0 {
+        alone_left
+    } else {
+        alone_right
+    };
+    for cap in std::iter::once(REFERENCE_CAP).chain(CAPS) {
+        assert_eq!(factor_error(&[left, right], cap), first, "pool cap {cap}");
+    }
+}
+
+#[test]
 fn cold_factorization_pipeline_is_pool_size_invariant() {
-    // The PR-4 cold path: a fresh `FactorCache` per run forces the
-    // elimination-tree-parallel numeric factorization (not just the
-    // triangular sweeps) to run inside every install scope, end to end
-    // through assembly → parallel factor → batched panel solve. The factor
-    // is bitwise identical to the serial sweep at every cap, so the nodal
-    // solutions must be too.
+    // The cold path: a fresh `FactorCache` per run forces the numeric
+    // factorization (not just the triangular sweeps) to run inside every
+    // install scope, end to end through assembly → factor → batched panel
+    // solve. The factor is bitwise cap-invariant, so the nodal solutions
+    // must be too.
     let rom = WorkPool::new(REFERENCE_CAP).install(|| build_rom(BlockKind::Tsv));
     let layout = BlockLayout::uniform(3, 3, BlockKind::Tsv);
     let loads = [-250.0, -120.0, 75.0, 10.0, 300.0];

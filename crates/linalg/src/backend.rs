@@ -323,21 +323,20 @@ pub struct SolveReport {
     /// bounded by the `threads` request and the pool cap — but the exact
     /// value is scheduling-dependent, so don't gate regressions on it.
     pub workers: usize,
-    /// [`WorkPool`] worker slots the numeric *factorization* behind this
-    /// solve used (1 for serial factorization, the scalar kernel and the
-    /// iterative engines). Same scheduling-dependent-telemetry caveat as
+    /// [`WorkPool`] worker slots that ran the per-shard factor tasks of the
+    /// [`Sharded`](crate::Sharded) preparation behind this solve (1 for
+    /// every monolithic engine: one factorization is a serial sweep). Same
+    /// scheduling-dependent-telemetry caveat as
     /// [`workers`](SolveReport::workers).
     pub factor_workers: usize,
     /// Shape statistics of the supernodal factor behind this solve —
-    /// supernode count, etree height, weighted critical path, subtree
-    /// balance; `None` for iterative engines and for the scalar reference
-    /// kernel.
+    /// supernode count, panel width, stored and true nonzeros; `None` for
+    /// iterative engines and for the scalar reference kernel.
     pub supernode_stats: Option<SupernodeStats>,
-    /// Resolved [`DenseKernel`](crate::DenseKernel) name (`"scalar"`,
-    /// `"blocked"`, `"avx2"`) behind the supernodal factorization this
-    /// solve ran on — after runtime CPU-feature dispatch, so it reports
-    /// what actually executed. `None` for the iterative engines and the
-    /// scalar up-looking reference factorization, which do not route
+    /// [`DenseKernel`](crate::DenseKernel) name (`"scalar"` or
+    /// `"blocked"`) behind the supernodal factorization this solve ran
+    /// on. `None` for the iterative engines and the scalar up-looking
+    /// reference factorization, which do not route
     /// through the microkernel layer; for the sharded engine, the kernel
     /// of the interior block factors.
     pub kernel: Option<&'static str>,
@@ -510,21 +509,12 @@ impl DirectFactor {
         }
     }
 
-    /// Resolved microkernel name (`None` for the scalar up-looking
+    /// Microkernel name (`None` for the scalar up-looking
     /// reference factorization, which predates the kernel layer).
     fn kernel_name(&self) -> Option<&'static str> {
         match self {
             DirectFactor::Scalar(_) => None,
             DirectFactor::Supernodal(chol) => Some(chol.kernel_name()),
-        }
-    }
-
-    /// Worker slots the numeric factorization used (1 for the scalar
-    /// kernel's serial up-looking sweep).
-    fn factor_workers(&self) -> usize {
-        match self {
-            DirectFactor::Scalar(_) => 1,
-            DirectFactor::Supernodal(chol) => chol.factor_workers(),
         }
     }
 
@@ -909,22 +899,20 @@ impl PreparedSolver {
         }
     }
 
-    /// Worker slots the one-time numeric factorization used (1 for the
-    /// scalar kernel, serial factorization and the iterative engines; the
-    /// peak over all block factorizations for the sharded engine).
+    /// Worker slots that ran the per-shard factor tasks of a sharded
+    /// preparation; 1 for every monolithic engine, whose single
+    /// factorization is a serial sweep.
     pub fn factor_workers(&self) -> usize {
         match &self.engine {
-            Engine::Direct(factor) => factor.factor_workers(),
             Engine::Sharded(schur) => schur.factor_workers(),
             _ => 1,
         }
     }
 
-    /// Resolved dense-microkernel name (`"scalar"`, `"blocked"`, `"avx2"`)
-    /// behind the supernodal factorization — after runtime CPU-feature
-    /// dispatch. `None` for the iterative engines and the scalar
-    /// up-looking reference factorization; the interior-block kernel for
-    /// the sharded engine.
+    /// Dense-microkernel name (`"scalar"` or `"blocked"`) behind the
+    /// supernodal factorization. `None` for the iterative engines and the
+    /// scalar up-looking reference factorization; the interior-block
+    /// kernel for the sharded engine.
     pub fn kernel_name(&self) -> Option<&'static str> {
         match &self.engine {
             Engine::Direct(factor) => factor.kernel_name(),
@@ -1330,7 +1318,7 @@ impl PreparedSolver {
                 solver_bytes: self.shared_bytes + workers * self.workspace_bytes,
                 rhs_count: k,
                 workers,
-                factor_workers: factor.factor_workers(),
+                factor_workers: 1,
                 supernode_stats: stats,
                 kernel: factor.kernel_name(),
                 shards: 1,
@@ -1382,9 +1370,11 @@ pub enum CholeskyKernel {
 }
 
 /// Direct sparse Cholesky backend: supernodal blocked kernel with
-/// structure-probed ([`FillOrdering::Auto`]) ordering and
-/// elimination-tree-parallel factorization by default; the scalar kernel,
-/// concrete orderings and the serial sweep stay selectable.
+/// structure-probed ([`FillOrdering::Auto`]) ordering by default; the
+/// scalar kernel and concrete orderings stay selectable. One factorization
+/// runs serially on the calling thread; the parallelism sits around it
+/// (per shard under [`Sharded`](crate::Sharded), per panel of right-hand
+/// sides in [`PreparedSolver::solve_many`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirectCholesky {
     /// Factorization kernel (default: supernodal).
@@ -1397,15 +1387,6 @@ pub struct DirectCholesky {
     /// [`PreparedSolver::solve_many`] path. Each worker solves whole
     /// panels with one blocked sweep; 1 degenerates to task-per-RHS.
     pub panel_width: usize,
-    /// Runs the supernodal numeric factorization as an elimination-tree
-    /// task DAG on the current [`WorkPool`] (default: `true`). The factor
-    /// is bitwise identical to the serial sweep at every pool cap, so this
-    /// is purely a wall-clock knob — which is also why it is *not* part of
-    /// the [`FactorCache`] fingerprint. Ignored by the scalar kernel. The
-    /// parallel path runs only when both this and
-    /// [`SupernodalOptions::parallel`] are `true` (either switch selects
-    /// the serial sweep).
-    pub parallel_factor: bool,
     /// Supernode detection tuning (width cap, relaxed-amalgamation
     /// budget). Ignored by the scalar kernel.
     pub supernodal: SupernodalOptions,
@@ -1421,7 +1402,6 @@ impl Default for DirectCholesky {
             kernel: CholeskyKernel::default(),
             ordering: FillOrdering::default(),
             panel_width: 8,
-            parallel_factor: true,
             supernodal: SupernodalOptions::default(),
             verify: VerifyPolicy::Off,
         }
@@ -1447,16 +1427,6 @@ impl DirectCholesky {
             ..Self::default()
         }
     }
-
-    /// The supernodal kernel with the serial left-looking numeric sweep —
-    /// the parallel path's differential baseline (bitwise identical, just
-    /// slower).
-    pub fn serial_factor() -> Self {
-        Self {
-            parallel_factor: false,
-            ..Self::default()
-        }
-    }
 }
 
 impl SolverBackend for DirectCholesky {
@@ -1469,18 +1439,9 @@ impl SolverBackend for DirectCholesky {
         check_finite_matrix(&a)?;
         let perm = self.ordering.permutation(&a);
         let factor = match self.kernel {
-            CholeskyKernel::Supernodal => {
-                // Honor both switches: the backend-level `parallel_factor`
-                // and a caller-narrowed `supernodal.parallel` each disable
-                // the DAG path.
-                let opts = SupernodalOptions {
-                    parallel: self.parallel_factor && self.supernodal.parallel,
-                    ..self.supernodal
-                };
-                DirectFactor::Supernodal(SupernodalCholesky::factor_with_permutation(
-                    &a, perm, &opts,
-                )?)
-            }
+            CholeskyKernel::Supernodal => DirectFactor::Supernodal(
+                SupernodalCholesky::factor_with_permutation(&a, perm, &self.supernodal)?,
+            ),
             CholeskyKernel::Scalar => {
                 DirectFactor::Scalar(SparseCholesky::factor_with_permutation(&a, perm)?)
             }
@@ -1508,15 +1469,10 @@ impl SolverBackend for DirectCholesky {
         };
         // The panel width and supernode tuning only shape *how* a solve
         // runs, not its factor-basis semantics — but they change the
-        // prepared object, so they stay in the cache key. `parallel_factor`
-        // is deliberately absent: serial and parallel factorization produce
-        // bitwise-identical factors, so the two configs can share one cache
-        // entry.
-        // The dense microkernel *is* part of the key: kernels differ in
+        // prepared object, so they stay in the cache key.
+        // The dense microkernel is part of the key too: kernels differ in
         // rounding (fused vs separate multiply-add), so two kernel configs
         // produce different factor bits and must not share a cache entry.
-        // Fingerprinted by *resolved* kernel, so `Simd` on a non-AVX2 host
-        // shares the entry of the kernel it actually falls back to.
         0x10 ^ kernel.rotate_left(8)
             ^ self.ordering.fingerprint().rotate_left(12)
             ^ (self.panel_width as u64).rotate_left(24)

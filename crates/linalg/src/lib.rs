@@ -13,21 +13,20 @@
 //! * [`DenseKernel`] / [`KernelChoice`] — the swappable dense microkernel
 //!   layer (`kernel.rs`) every flop-bearing loop routes through: the
 //!   supernodal rank-k updates, panel Cholesky, triangular sweeps, the
-//!   Schur clique condensation and the Krylov dot/axpy primitives. Three
+//!   Schur clique condensation and the Krylov dot/axpy primitives. Two
 //!   implementations: [`ScalarKernel`] (the original loops, the
-//!   differential oracle), [`BlockedKernel`] (unrolled `mul_add` tiles
-//!   with runtime FMA dispatch — the default), and an optional AVX2
-//!   intrinsics kernel behind the `simd` cargo feature.
+//!   differential oracle) and [`BlockedKernel`] (unrolled `mul_add` tiles
+//!   with runtime FMA dispatch — the default).
 //! * [`SupernodalCholesky`] — the supernodal blocked Cholesky the
 //!   `DirectCholesky` backend runs by default: dense column panels from
 //!   relaxed supernode amalgamation, rank-k panel updates, and blocked
 //!   multi-RHS triangular sweeps (`solve_panel`), so the paper's
 //!   factor-once/solve-many economics (§4.2) run on dense contiguous
-//!   kernels. The numeric factorization runs as an elimination-tree task
-//!   DAG on the [`WorkPool`] ([`WorkPool::scope_dag`]), bitwise identical
-//!   to the serial sweep at every pool cap. Orderings: RCM, separator
-//!   based nested dissection, or [`FillOrdering::Auto`] (structure-probed
-//!   per operator, the default).
+//!   kernels. The numeric factorization is one serial left-looking sweep;
+//!   parallelism comes from the tasks around it (shards, load panels,
+//!   local solves, campaign jobs). Orderings: RCM, separator based nested
+//!   dissection, or [`FillOrdering::Auto`] (structure-probed per
+//!   operator, the default).
 //! * [`solve_cg`] / [`solve_gmres`] — preconditioned iterative solvers used
 //!   by the global stage (the paper solves the global system with GMRES).
 //! * [`MemoryFootprint`] — analytic heap accounting used to report the memory
@@ -122,14 +121,12 @@ pub use iterative::{
     refine, solve_cg, solve_gmres, CgOptions, GmresOptions, IdentityPreconditioner,
     IterativeSolution, JacobiPreconditioner, Preconditioner, RefineOptions, SsorPreconditioner,
 };
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub use kernel::SimdKernel;
 pub use kernel::{BlockedKernel, DenseKernel, KernelChoice, ScalarKernel};
 pub use memory::MemoryFootprint;
 pub use ordering::{
     bandwidth, nested_dissection, reverse_cuthill_mckee, FillOrdering, Permutation, StructureProbe,
 };
-pub use pool::{TaskDag, WorkPool};
+pub use pool::WorkPool;
 pub use schur::Sharded;
 pub use shard::{PartitionHint, ShardPlan, ShardPlanStats};
 pub use sparse::{CooMatrix, CsrMatrix};

@@ -734,72 +734,6 @@ fn pseudo_peripheral(
     start
 }
 
-/// Shape metrics of a weighted forest, used by the supernodal task
-/// schedule (subtree weights become [`TaskDag`](crate::TaskDag) claim
-/// priorities) and by `SupernodeStats`.
-#[derive(Debug, Clone)]
-pub(crate) struct TreeMetrics {
-    /// Total weight of each node's subtree (itself included).
-    pub subtree_weight: Vec<u64>,
-    /// Nodes on the longest root-to-leaf path (0 for an empty forest).
-    pub height: usize,
-    /// Max/mean subtree weight over the forest's *parallel units*: the
-    /// subtrees rooted at children of branch nodes (nodes with ≥ 2
-    /// children), which are exactly the pieces a tree schedule can run
-    /// concurrently. A pure chain has no branch nodes; its units are the
-    /// roots themselves (max = total ⇒ no tree parallelism).
-    pub max_parallel_subtree: u64,
-    /// See [`TreeMetrics::max_parallel_subtree`].
-    pub mean_parallel_subtree: f64,
-}
-
-/// Computes [`TreeMetrics`] over a parent-indexed forest in one ascending
-/// pass. Requires the heap property `parent[i] > i` (roots marked by
-/// `parent[i] >= len`), which elimination trees satisfy by construction.
-pub(crate) fn tree_metrics(parent: &[usize], weight: &[u64]) -> TreeMetrics {
-    let n = parent.len();
-    debug_assert_eq!(weight.len(), n);
-    let mut subtree_weight = weight.to_vec();
-    let mut children = vec![0usize; n];
-    // Tallest child subtree (nodes) per node.
-    let mut child_height = vec![0usize; n];
-    let mut height = 0usize;
-    for i in 0..n {
-        let p = parent[i];
-        debug_assert!(p >= n || p > i, "tree_metrics needs parent[i] > i");
-        let h = child_height[i] + 1;
-        if p < n {
-            subtree_weight[p] += subtree_weight[i];
-            children[p] += 1;
-            child_height[p] = child_height[p].max(h);
-        } else {
-            height = height.max(h);
-        }
-    }
-    let mut units: Vec<u64> = (0..n)
-        .filter(|&i| parent[i] < n && children[parent[i]] >= 2)
-        .map(|i| subtree_weight[i])
-        .collect();
-    if units.is_empty() {
-        units = (0..n)
-            .filter(|&i| parent[i] >= n)
-            .map(|i| subtree_weight[i])
-            .collect();
-    }
-    let max_parallel_subtree = units.iter().copied().max().unwrap_or(0);
-    let mean_parallel_subtree = if units.is_empty() {
-        0.0
-    } else {
-        units.iter().sum::<u64>() as f64 / units.len() as f64
-    };
-    TreeMetrics {
-        subtree_weight,
-        height,
-        max_parallel_subtree,
-        mean_parallel_subtree,
-    }
-}
-
 /// Half-bandwidth of a square sparse matrix: `max |i - j|` over stored
 /// entries. Used to quantify what RCM buys us (see the ordering ablation
 /// benchmark).
@@ -964,22 +898,6 @@ mod tests {
             let p = FillOrdering::Auto.permutation(&a);
             assert_eq!(p.as_slice(), resolved.permutation(&a).as_slice());
         }
-    }
-
-    #[test]
-    fn tree_metrics_on_a_chain_and_a_fork() {
-        const NONE: usize = usize::MAX;
-        // Chain 0 → 1 → 2: no branch nodes, the unit is the whole tree.
-        let chain = tree_metrics(&[1, 2, NONE], &[5, 7, 11]);
-        assert_eq!(chain.subtree_weight, vec![5, 12, 23]);
-        assert_eq!(chain.height, 3);
-        assert_eq!(chain.max_parallel_subtree, 23);
-        // Fork: 0 and 1 are children of 2 (a branch node), 3 chains above.
-        let fork = tree_metrics(&[2, 2, 3, NONE], &[10, 4, 2, 1]);
-        assert_eq!(fork.subtree_weight, vec![10, 4, 16, 17]);
-        assert_eq!(fork.height, 3);
-        assert_eq!(fork.max_parallel_subtree, 10);
-        assert!((fork.mean_parallel_subtree - 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //! * [`WorkPool::scope_chunks`] / [`WorkPool::scope_workers`] — the scoped
 //!   execution primitives. Both block until every started task finished, so
 //!   task closures may borrow from the caller's stack.
-//! * [`WorkPool::scope_dag`] — dependency-counted task-graph execution for
-//!   stages whose tasks are *not* independent (the elimination-tree-parallel
-//!   supernodal factorization): a task becomes ready when all of its
-//!   prerequisites finished, ready tasks are claimed heaviest-priority
-//!   first, and the scope blocks until the whole [`TaskDag`] drained.
+//!
+//! Every parallel site uses these two primitives over independent tasks.
+//! There is no task-graph scheduler: one supernodal factorization is a
+//! serial sweep, and the parallelism sits around it — per shard, per panel
+//! of right-hand sides, per local solve and per campaign job.
 //!
 //! # Cap semantics
 //!
@@ -59,7 +59,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
@@ -456,278 +456,6 @@ impl WorkPool {
         });
         active.load(Ordering::Relaxed).max(1)
     }
-
-    /// Runs `task(i)` exactly once for every node of `dag`, never starting a
-    /// node before all of its prerequisites finished, on up to `workers`
-    /// worker slots (clamped to the pool cap and the node count). Returns
-    /// the number of slots that executed at least one task.
-    ///
-    /// Ready nodes are claimed highest-[priority](TaskDag::set_priority)
-    /// first (ties broken by node index), which lets callers schedule heavy
-    /// subtrees early; the claim order never affects *which* prerequisites a
-    /// task observes — by construction they have all completed — so
-    /// schedule-independent task bodies produce schedule-independent
-    /// results, the same determinism contract the other scoped primitives
-    /// honor. Completion of a prerequisite *happens-before* the start of
-    /// every task depending on it (the ready queue is mutex-protected), so
-    /// a task may freely read anything its prerequisites wrote.
-    ///
-    /// Blocks until every node ran, so `task` may borrow from the caller's
-    /// stack. A panicking task aborts the scope: nodes not yet started are
-    /// abandoned, already-running ones finish, and the first panic payload
-    /// is re-thrown here after the scope quiesced (the pool stays usable).
-    /// A `dag` whose remaining nodes are never all reachable — a dependency
-    /// cycle — panics instead of deadlocking.
-    pub fn scope_dag(&self, workers: usize, dag: &TaskDag, task: impl Fn(usize) + Sync) -> usize {
-        self.scope_dag_with(workers, dag, || (), |(), i| task(i))
-    }
-
-    /// [`scope_dag`](Self::scope_dag) with per-worker state: `init` runs
-    /// once on every slot that claims at least one node, and the produced
-    /// state is threaded through all of that slot's `task` calls — how the
-    /// parallel factorization reuses one dense scratch per worker across
-    /// supernode tasks. Like [`scope_chunks_with`](Self::scope_chunks_with),
-    /// the state is for scratch, not for reductions.
-    pub fn scope_dag_with<S>(
-        &self,
-        workers: usize,
-        dag: &TaskDag,
-        init: impl Fn() -> S + Sync,
-        task: impl Fn(&mut S, usize) + Sync,
-    ) -> usize {
-        let n = dag.len();
-        if n == 0 {
-            return 0;
-        }
-        assert!(
-            dag.pending_edges.is_empty(),
-            "scope_dag: TaskDag has staged edges — call seal() after add_dependency"
-        );
-        struct DagState {
-            /// Unfinished-prerequisite count per node.
-            preds: Vec<usize>,
-            /// Ready nodes, popped highest (priority, index) first.
-            ready: BinaryHeap<(u64, usize)>,
-            running: usize,
-            completed: usize,
-            /// First panic payload (or cycle diagnostic) — aborts the scope.
-            abort: Option<Box<dyn Any + Send + 'static>>,
-        }
-        let mut ready = BinaryHeap::new();
-        for i in 0..n {
-            if dag.preds[i] == 0 {
-                ready.push((dag.priority[i], i));
-            }
-        }
-        let state = Mutex::new(DagState {
-            preds: dag.preds.clone(),
-            ready,
-            running: 0,
-            completed: 0,
-            abort: None,
-        });
-        let ready_cv = Condvar::new();
-        let active = AtomicUsize::new(0);
-        let workers = workers.clamp(1, self.inner.cap).min(n);
-        self.scope_workers(workers, |_slot| {
-            let mut scratch: Option<S> = None;
-            let mut guard = state.lock().expect("dag state poisoned");
-            loop {
-                if guard.completed == n || guard.abort.is_some() {
-                    return;
-                }
-                let Some((_, i)) = guard.ready.pop() else {
-                    if guard.running == 0 {
-                        // No task is running, none is ready, not all are
-                        // done: the dependency graph has a cycle. Abort the
-                        // scope instead of deadlocking on the condvar.
-                        guard.abort = Some(Box::new(
-                            "scope_dag: dependency cycle (unfinished tasks, none ready)",
-                        ));
-                        drop(guard);
-                        ready_cv.notify_all();
-                        return;
-                    }
-                    guard = ready_cv.wait(guard).expect("dag state poisoned");
-                    continue;
-                };
-                guard.running += 1;
-                drop(guard);
-                // `init` runs inside the same catch_unwind as `task`: a
-                // panicking init must abort the scope like a panicking
-                // task, not leak `running` and strand the other workers on
-                // the condvar.
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let scratch = match &mut scratch {
-                        Some(scratch) => scratch,
-                        None => {
-                            active.fetch_add(1, Ordering::Relaxed);
-                            scratch.insert(init())
-                        }
-                    };
-                    task(scratch, i)
-                }));
-                guard = state.lock().expect("dag state poisoned");
-                guard.running -= 1;
-                let mut newly_ready = 0usize;
-                match result {
-                    Ok(()) => {
-                        guard.completed += 1;
-                        for &succ in dag.successors(i) {
-                            guard.preds[succ] -= 1;
-                            if guard.preds[succ] == 0 {
-                                guard.ready.push((dag.priority[succ], succ));
-                                newly_ready += 1;
-                            }
-                        }
-                    }
-                    Err(payload) => {
-                        guard.abort.get_or_insert(payload);
-                    }
-                }
-                // Wake waiters only when there is something to see —
-                // newly-ready nodes, the final completion, an abort, or a
-                // possible cycle verdict (`running == 0` with work left) —
-                // not on every completion: a narrow frontier would
-                // otherwise thundering-herd every waiter per task.
-                if newly_ready > 0
-                    || guard.completed == n
-                    || guard.abort.is_some()
-                    || guard.running == 0
-                {
-                    ready_cv.notify_all();
-                }
-            }
-        });
-        let abort = state.into_inner().expect("dag state poisoned").abort.take();
-        if let Some(payload) = abort {
-            panic::resume_unwind(payload);
-        }
-        active.load(Ordering::Relaxed).max(1)
-    }
-}
-
-/// A dependency graph of tasks for [`WorkPool::scope_dag`]: node `i` may
-/// only start once every node registered as its prerequisite finished.
-///
-/// Built once per schedule shape and reusable across `scope_dag` calls (the
-/// scope clones the dependency counters, never mutates the dag). For tree
-/// schedules — the elimination-tree case — [`TaskDag::from_parents`] builds
-/// the whole graph from a parent array in one pass.
-#[derive(Debug, Clone)]
-pub struct TaskDag {
-    /// Prerequisite count per node.
-    preds: Vec<usize>,
-    /// Successor adjacency in CSR form: finishing `i` releases
-    /// `succ[succ_ptr[i]..succ_ptr[i+1]]`.
-    succ_ptr: Vec<usize>,
-    succ: Vec<usize>,
-    /// Claim priority per node (higher pops first among ready nodes).
-    priority: Vec<u64>,
-    /// Edge staging area; folded into CSR lazily by [`TaskDag::seal`].
-    pending_edges: Vec<(usize, usize)>,
-}
-
-impl TaskDag {
-    /// A graph of `num_nodes` initially independent nodes.
-    pub fn new(num_nodes: usize) -> Self {
-        Self {
-            preds: vec![0; num_nodes],
-            succ_ptr: vec![0; num_nodes + 1],
-            succ: Vec::new(),
-            priority: vec![0; num_nodes],
-            pending_edges: Vec::new(),
-        }
-    }
-
-    /// A tree (or forest) schedule from a parent array: node `i` must finish
-    /// before `parent[i]` may start; `parent[i] >= parent.len()` marks a
-    /// root. This is the children-complete-first discipline of the
-    /// supernodal elimination tree.
-    pub fn from_parents(parent: &[usize]) -> Self {
-        let mut dag = Self::new(parent.len());
-        for (child, &p) in parent.iter().enumerate() {
-            if p < parent.len() {
-                dag.add_dependency(child, p);
-            }
-        }
-        dag.seal();
-        dag
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.preds.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
-    }
-
-    /// Declares that `before` must finish before `after` may start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range or `before == after`.
-    pub fn add_dependency(&mut self, before: usize, after: usize) {
-        assert!(
-            before < self.len() && after < self.len() && before != after,
-            "scope_dag: invalid dependency {before} -> {after} (nodes: {})",
-            self.len()
-        );
-        self.preds[after] += 1;
-        self.pending_edges.push((before, after));
-    }
-
-    /// Sets the claim priority of `node` (default 0): among *ready* nodes,
-    /// higher priorities are claimed first. Use subtree weights here so the
-    /// heaviest independent branches start earliest.
-    pub fn set_priority(&mut self, node: usize, priority: u64) {
-        self.priority[node] = priority;
-    }
-
-    /// Folds staged edges into the CSR successor lists. Must be called
-    /// after the last [`add_dependency`](Self::add_dependency) and before
-    /// [`WorkPool::scope_dag`] (which asserts it);
-    /// [`from_parents`](Self::from_parents) seals for you.
-    pub fn seal(&mut self) {
-        if self.pending_edges.is_empty() {
-            return;
-        }
-        let n = self.len();
-        let mut counts = vec![0usize; n];
-        for i in 0..n {
-            counts[i] = self.succ_ptr[i + 1] - self.succ_ptr[i];
-        }
-        for &(before, _) in &self.pending_edges {
-            counts[before] += 1;
-        }
-        let mut new_ptr = vec![0usize; n + 1];
-        for i in 0..n {
-            new_ptr[i + 1] = new_ptr[i] + counts[i];
-        }
-        let mut new_succ = vec![0usize; new_ptr[n]];
-        let mut next: Vec<usize> = new_ptr[..n].to_vec();
-        for i in 0..n {
-            for &s in &self.succ[self.succ_ptr[i]..self.succ_ptr[i + 1]] {
-                new_succ[next[i]] = s;
-                next[i] += 1;
-            }
-        }
-        for &(before, after) in &self.pending_edges {
-            new_succ[next[before]] = after;
-            next[before] += 1;
-        }
-        self.pending_edges.clear();
-        self.succ_ptr = new_ptr;
-        self.succ = new_succ;
-    }
-
-    fn successors(&self, node: usize) -> &[usize] {
-        debug_assert!(self.pending_edges.is_empty(), "TaskDag used before seal()");
-        &self.succ[self.succ_ptr[node]..self.succ_ptr[node + 1]]
-    }
 }
 
 impl std::fmt::Debug for WorkPool {
@@ -880,144 +608,6 @@ mod tests {
             used,
             "exactly one scratch per slot that claimed work"
         );
-    }
-
-    #[test]
-    fn scope_dag_respects_dependencies() {
-        // A diamond over 6 nodes: 0 → {1, 2} → 3 → {4, 5}. Record the
-        // completion sequence and check every edge's ordering.
-        let pool = WorkPool::new(4);
-        let mut dag = TaskDag::new(6);
-        for (before, after) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)] {
-            dag.add_dependency(before, after);
-        }
-        dag.seal();
-        let clock = AtomicUsize::new(0);
-        let seq: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let used = pool.scope_dag(4, &dag, |i| {
-            seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-        });
-        assert!(0 < used && used <= 4);
-        let at = |i: usize| seq[i].load(Ordering::SeqCst);
-        assert!((0..6).all(|i| at(i) != usize::MAX), "every node ran");
-        for (before, after) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)] {
-            assert!(
-                at(before) < at(after),
-                "node {after} started before its prerequisite {before}"
-            );
-        }
-    }
-
-    #[test]
-    fn scope_dag_from_parents_runs_children_first() {
-        // A forest: two chains 0→2→4 and 1→3 (parent indexed, MAX = root),
-        // nodes must complete before their parents.
-        let pool = WorkPool::new(3);
-        let parent = vec![2usize, 3, 4, usize::MAX, usize::MAX];
-        let dag = TaskDag::from_parents(&parent);
-        let clock = AtomicUsize::new(0);
-        let seq: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        pool.scope_dag(3, &dag, |i| {
-            seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-        });
-        for (child, &p) in parent.iter().enumerate() {
-            if p < parent.len() {
-                assert!(
-                    seq[child].load(Ordering::SeqCst) < seq[p].load(Ordering::SeqCst),
-                    "child {child} must finish before parent {p}"
-                );
-            }
-        }
-        assert_eq!(clock.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn scope_dag_per_worker_state_and_priorities() {
-        let pool = WorkPool::new(2);
-        let mut dag = TaskDag::new(40);
-        // One root gating 39 independent tasks, heaviest-first priorities.
-        for i in 1..40 {
-            dag.add_dependency(0, i);
-            dag.set_priority(i, i as u64);
-        }
-        dag.seal();
-        let inits = AtomicUsize::new(0);
-        let hits = AtomicUsize::new(0);
-        let used = pool.scope_dag_with(
-            2,
-            &dag,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0u64
-            },
-            |scratch, _i| {
-                *scratch += 1;
-                hits.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(hits.load(Ordering::Relaxed), 40);
-        assert_eq!(
-            inits.load(Ordering::Relaxed),
-            used,
-            "one scratch per active slot"
-        );
-    }
-
-    #[test]
-    fn scope_dag_propagates_init_panics_without_hanging() {
-        let pool = WorkPool::new(2);
-        let dag = TaskDag::new(4); // four independent nodes
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope_dag_with(2, &dag, || panic!("init exploded"), |(), _i| {});
-        }));
-        assert!(result.is_err(), "the init panic must reach the caller");
-        // The scope quiesced (no leaked `running` count) and the pool
-        // still works.
-        let after = AtomicUsize::new(0);
-        pool.scope_chunks(2, 6, |_| {
-            after.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(after.load(Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn scope_dag_panics_on_cycles_instead_of_deadlocking() {
-        let pool = WorkPool::new(2);
-        let mut dag = TaskDag::new(3);
-        dag.add_dependency(0, 1);
-        dag.add_dependency(1, 2);
-        dag.add_dependency(2, 1); // 1 ⇄ 2 cycle
-        dag.seal();
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope_dag(2, &dag, |_| {});
-        }));
-        assert!(result.is_err(), "a cyclic dag must abort, not hang");
-        // The pool survives the aborted scope.
-        let after = AtomicUsize::new(0);
-        pool.scope_chunks(2, 8, |_| {
-            after.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(after.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn scope_dag_propagates_task_panics() {
-        let pool = WorkPool::new(4);
-        let dag = TaskDag::from_parents(&[1, 2, 3, usize::MAX]);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope_dag(4, &dag, |i| {
-                if i == 1 {
-                    panic!("task 1 exploded");
-                }
-            });
-        }));
-        assert!(result.is_err());
-        // Downstream nodes were abandoned, the pool still works.
-        let after = AtomicUsize::new(0);
-        pool.scope_chunks(4, 4, |_| {
-            after.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(after.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -297,6 +297,9 @@ pub(crate) struct SchurSolver {
     shards_refactored: usize,
     /// Shards reused intact from the previous preparation.
     shards_reused: usize,
+    /// Worker slots that ran this preparation's per-shard factor tasks (1
+    /// when no shard was refactored).
+    prepare_workers: usize,
     /// Whether the interface system itself needed the ladder.
     interface_degraded: bool,
     /// Precomputed interface scatter maps (`None` for an empty interface),
@@ -533,13 +536,12 @@ impl SchurSolver {
         } = extract_blocks(a, &plan);
 
         // Factor every interior and condense its Schur contribution, one
-        // task per shard on the shared pool. Like the monolithic parallel
-        // factorization, preparation runs at the pool cap (`prepare` has no
-        // threads override). Each task is internally deterministic (the
-        // factor is bitwise cap-invariant, the panel solves are too), so
-        // only the serial accumulation order below matters for
-        // reproducibility.
-        let (prepped, _) = per_shard(WorkPool::current().cap(), num_shards, |k| {
+        // task per shard on the shared pool. Preparation runs at the pool
+        // cap (`prepare` has no threads override). Each task is internally
+        // deterministic (the factor is bitwise cap-invariant, the panel
+        // solves are too), so only the serial accumulation order below
+        // matters for reproducibility.
+        let (prepped, prepare_workers) = per_shard(WorkPool::current().cap(), num_shards, |k| {
             shard_prep_task(inner, cache, &interiors[k], &couplings[k], n_s)
         })?;
         let mut blocks: Vec<ShardBlock> = Vec::with_capacity(num_shards);
@@ -568,6 +570,7 @@ impl SchurSolver {
             inner_fingerprint: inner.config_fingerprint(),
             shards_refactored: num_shards,
             shards_reused: 0,
+            prepare_workers,
             interface_degraded,
             iface_assembly,
         })
@@ -622,15 +625,16 @@ impl SchurSolver {
         // the full route (run *before* any invalidation: a shard dirtied
         // only through its couplings still hits the cache on its unchanged
         // interior).
-        let (reprepped, _) = per_shard(WorkPool::current().cap(), dirty.len(), |i| {
-            shard_prep_task(
-                inner,
-                cache,
-                &interiors[dirty[i]],
-                &couplings[dirty[i]],
-                n_s,
-            )
-        })?;
+        let (reprepped, prepare_workers) =
+            per_shard(WorkPool::current().cap(), dirty.len(), |i| {
+                shard_prep_task(
+                    inner,
+                    cache,
+                    &interiors[dirty[i]],
+                    &couplings[dirty[i]],
+                    n_s,
+                )
+            })?;
 
         let mut blocks: Vec<ShardBlock> = Vec::with_capacity(num_shards);
         let mut repreps = reprepped.into_iter();
@@ -698,6 +702,7 @@ impl SchurSolver {
             inner_fingerprint: prev.inner_fingerprint,
             shards_refactored: dirty.len(),
             shards_reused: num_shards - dirty.len(),
+            prepare_workers,
             interface_degraded,
             iface_assembly,
         })
@@ -808,14 +813,10 @@ impl SchurSolver {
             .next()
     }
 
-    /// Peak worker slots any block's numeric factorization used.
+    /// Worker slots that ran the per-shard factor tasks of this
+    /// preparation.
     pub(crate) fn factor_workers(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| b.solver.factor_workers())
-            .chain(self.interface_solver.iter().map(|s| s.factor_workers()))
-            .max()
-            .unwrap_or(1)
+        self.prepare_workers
     }
 
     /// Bytes of the shared prepared state: every shard factor, the

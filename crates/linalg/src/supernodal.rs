@@ -1,5 +1,4 @@
-//! Supernodal blocked sparse Cholesky factorization `A = L Lᵀ`, with an
-//! elimination-tree-parallel numeric phase.
+//! Supernodal blocked sparse Cholesky factorization `A = L Lᵀ`.
 //!
 //! The scalar kernel in [`crate::cholesky`] touches one nonzero at a time:
 //! every floating-point operation pays an index load, and every right-hand
@@ -19,53 +18,38 @@
 //! batched global stage re-solves one cached factor for every thermal load.
 //! Both stages are therefore bounded by exactly the two things supernodes
 //! accelerate: the one-time factorization (dense rank-k updates instead of
-//! scalar scatter, and since PR 4 scheduled task-parallel over the
-//! elimination tree) and the per-right-hand-side triangular sweeps
+//! scalar scatter) and the per-right-hand-side triangular sweeps
 //! ([`SupernodalCholesky::solve_panel`] streams each panel once for a whole
 //! block of right-hand sides). The scalar kernel stays available as the
 //! reference oracle — `CholeskyKernel::Scalar` in the backend layer — and
 //! differential tests pin agreement between the two to ≤1e-12.
 //!
+//! One factorization runs serially on the calling thread. The parallelism
+//! of the pipeline sits around it: independent shards factor concurrently,
+//! and load panels, local solves and campaign jobs run as pool tasks.
+//!
 //! # Algorithm
 //!
-//! 1. **Symbolic** ([`Symbolic::analyze`], shared by both numeric paths):
-//!    the elimination tree is computed **once** and reused everywhere — the
-//!    `ereach` column-count sweep, the amalgamation test, the supernodal
-//!    etree, and the task schedule. Columns are grouped greedily
-//!    left-to-right: column `j` joins the supernode ending at `j-1` when
-//!    `parent[j-1] == j` and either the patterns match exactly (a
-//!    *fundamental* supernode) or the padding introduced by storing the
+//! 1. **Symbolic** ([`Symbolic::analyze`]): the elimination tree is
+//!    computed **once** and reused everywhere — the `ereach` column-count
+//!    sweep, the amalgamation test and the update schedule. Columns are
+//!    grouped greedily left-to-right: column `j` joins the supernode ending
+//!    at `j-1` when `parent[j-1] == j` and either the patterns match exactly
+//!    (a *fundamental* supernode) or the padding introduced by storing the
 //!    union pattern stays under the relaxation budget. The phase also
 //!    precomputes the **update schedule**: for every supernode, the exact
-//!    ordered list of descendant contributions the serial left-looking
-//!    sweep would apply (see *Determinism* below), plus subtree weights of
-//!    the supernodal etree for schedule balance.
-//! 2. **Numeric**: two task kinds cover the work.
-//!
-//!    * A **panel task** per supernode: assemble the panel from `A`;
-//!      if the panel's whole descendant-update load fits the work budget,
-//!      stream the updates `C = G·G₁ᵀ` (contiguous axpy loops scattered
-//!      through precomputed relative indices) directly into the panel,
-//!      otherwise subtract the finished update chunks (below)
-//!      element-wise in fixed chunk order; then factor the panel in place
-//!      by a dense blocked column Cholesky.
-//!    * An **update-chunk task** per work-bounded slice of the remaining
-//!      descendant updates of a heavy panel, accumulating its slice into a
-//!      private panel-shaped buffer. Without these, a left-looking
-//!      schedule serializes *all* update flops into a separator on the
-//!      separator's own task — on a 2-D nested-dissection lattice that
-//!      chains ~70% of total work onto the root path, capping tree
-//!      parallelism at ~1.4×; with them the bulk of the update work rides
-//!      independent tasks and the critical path collapses to the dense
-//!      panel chain.
-//!
-//!    The serial path runs the tasks left-to-right (each panel's chunks,
-//!    then the panel); the parallel path runs the *same task bodies* as a
-//!    dependency DAG on the shared [`WorkPool`]
-//!    ([`WorkPool::scope_dag`]): a chunk is ready when the descendants it
-//!    reads are factored, a panel when its chunks and streamed-prefix
-//!    descendants finished. Ready tasks are claimed heaviest-subtree
-//!    first, and every worker reuses one dense scratch across its tasks.
+//!    ordered list of descendant contributions the left-looking sweep
+//!    applies, and how that list is partitioned (see *Determinism* below).
+//! 2. **Numeric**: one left-looking sweep over the supernodes in order.
+//!    For each panel it assembles the panel from `A` and applies its
+//!    descendant updates `C = G·G₁ᵀ` (contiguous axpy loops scattered
+//!    through precomputed relative indices), then factors the panel in
+//!    place by a dense blocked column Cholesky. A panel whose whole update
+//!    load fits the work budget streams the updates straight into the
+//!    panel. A heavier panel slices them into work-bounded **chunks**:
+//!    each chunk accumulates into its own panel-shaped buffer, the buffers
+//!    are folded pairwise by a stride-doubling tree into the first one, and
+//!    the panel subtracts that root once.
 //! 3. **Solve**: forward/backward substitution walks supernodes; per
 //!    supernode the diagonal block is a dense triangular solve and the
 //!    below-diagonal block a dense mat-vec into a contiguous gather/scatter
@@ -75,36 +59,25 @@
 //!
 //! # Determinism contract
 //!
-//! The parallel factorization is **bitwise identical** to the serial sweep
-//! at every pool cap — the same invariance the rest of the pipeline honors
-//! (`crates/core/tests/thread_invariance.rs`). Floating-point addition is
-//! not associative, so this only holds because nothing about the numeric
-//! phase depends on scheduling:
+//! The factor's bits are a function of the operator, the permutation and
+//! the [`SupernodalOptions`] alone — never of the pool cap or the thread
+//! that runs it. Floating-point addition is not associative, so the update
+//! partition is part of that contract: which descendants are streamed, how
+//! the rest are cut into chunks by `chunk_work` and the adaptive budget,
+//! and the order of the chunk-combine tree are all structural, and they fix
+//! the factor's low-order bits. `crates/core/tests/thread_invariance.rs`
+//! pins them by checksum.
 //!
-//! * every task writes disjoint, index-addressed memory (a panel task its
-//!   panel, a chunk task its private accumulator);
-//! * the update partition — which descendants are streamed, how the rest
-//!   are sliced into chunks — and every application order are *structural*:
-//!   the symbolic phase simulates the serial pending queues, freezes the
-//!   resulting descendant order per supernode, and cuts chunks by a fixed
-//!   work budget, all independent of worker count or scheduling;
-//! * a task reads only panels the DAG ordered before it (the scope's
-//!   ready-queue mutex provides the happens-before edge), and chunk
-//!   accumulators are combined by the panel task in fixed chunk order.
-//!
-//! Which supernodes *fail* first on a non-SPD operator is
-//! scheduling-dependent, so only the success path is bitwise-pinned; the
-//! error path still deterministically reports the smallest failing pivot
-//! row among the tasks that ran.
+//! On a non-SPD operator the error is as deterministic: the sweep stops at
+//! the first failing panel in schedule order (ascending permuted column)
+//! and reports its failing row and pivot.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+#![forbid(unsafe_code)]
 
 use crate::cholesky::{ereach, etree};
 use crate::kernel::{DenseKernel, KernelChoice};
-use crate::ordering::{tree_metrics, FillOrdering, Permutation, TreeMetrics};
-use crate::pool::TaskDag;
-use crate::{CsrMatrix, LinalgError, MemoryFootprint, WorkPool};
+use crate::ordering::{FillOrdering, Permutation};
+use crate::{CsrMatrix, LinalgError, MemoryFootprint};
 
 const NONE: usize = usize::MAX;
 
@@ -123,26 +96,19 @@ pub struct SupernodalOptions {
     /// padding budget is doubled (panel overhead dominates true flops
     /// there).
     pub small_width: usize,
-    /// Runs the numeric phase as an elimination-tree task DAG on the
-    /// current [`WorkPool`] (serial when the pool cap is 1). Results are
-    /// bitwise identical either way — see the module docs — so this is
-    /// purely a wall-clock knob.
-    pub parallel: bool,
-    /// Minimum estimated-flop budget per update-chunk task of the parallel
-    /// schedule (see the module docs; the effective budget also scales
-    /// with the factorization size so chunk-accumulator overhead stays
-    /// bounded). Changing it changes how descendant updates are grouped —
-    /// and therefore the factor's low-order bits — so like `max_width` it
-    /// is part of the structural configuration, *not* a per-run knob: the
-    /// serial and parallel paths always share one partition. Mostly for
-    /// tests, which shrink it to force chunking on small operators.
+    /// Minimum estimated-flop budget per update chunk (see the module docs;
+    /// the effective budget also scales with the factorization size so
+    /// chunk-accumulator overhead stays bounded). Changing it changes how
+    /// descendant updates are grouped — and therefore the factor's
+    /// low-order bits — so like `max_width` it is part of the structural
+    /// configuration. Mostly for tests, which shrink it to force chunking
+    /// on small operators.
     pub chunk_work: u64,
     /// Which [`DenseKernel`] runs the flop-bearing loops (rank-k updates,
-    /// panel Cholesky, triangular sweeps). Each kernel is individually
-    /// deterministic — serial and parallel factors stay bitwise identical
-    /// at every pool cap *per kernel* — but different kernels associate
-    /// sums differently, so like `chunk_work` the choice is part of the
-    /// structural configuration and of the cache fingerprint.
+    /// panel Cholesky, triangular sweeps). Each kernel is deterministic,
+    /// but different kernels associate sums differently, so like
+    /// `chunk_work` the choice is part of the structural configuration and
+    /// of the cache fingerprint.
     pub kernel: KernelChoice,
 }
 
@@ -152,7 +118,6 @@ impl Default for SupernodalOptions {
             max_width: 32,
             relax: 0.2,
             small_width: 8,
-            parallel: true,
             chunk_work: CHUNK_WORK_BUDGET,
             kernel: KernelChoice::default(),
         }
@@ -171,35 +136,15 @@ pub struct SupernodeStats {
     pub stored_nnz: usize,
     /// True factor nonzeros (what the scalar kernel would store).
     pub true_nnz: usize,
-    /// Height of the supernodal elimination tree: panels on the longest
-    /// root-to-leaf chain, i.e. the unweighted depth of the task DAG.
-    pub etree_height: usize,
-    /// Weighted critical path of the numeric task DAG (panel + update-chunk
-    /// tasks, estimated work units along the heaviest dependency chain):
-    /// the work no schedule can overlap. `total_work / critical_path`
-    /// bounds the parallel speedup of the numeric phase.
-    pub critical_path: usize,
-    /// Estimated work of the whole factorization, same units as
-    /// [`critical_path`](SupernodeStats::critical_path).
-    pub total_work: usize,
-    /// Heaviest *parallel unit* of the etree (subtree rooted at a child of
-    /// a branch node — the pieces the schedule can overlap). Close to
-    /// [`total_work`](SupernodeStats::total_work) means one branch
-    /// dominates and tree parallelism is poor.
-    pub max_subtree_weight: usize,
-    /// Mean weight of the parallel units (see
-    /// [`max_subtree_weight`](SupernodeStats::max_subtree_weight)).
-    pub mean_subtree_weight: f64,
-    /// Resolved name of the [`DenseKernel`] that ran the numeric phase
-    /// (`"scalar"`, `"blocked"`, or `"avx2"`).
+    /// Name of the [`DenseKernel`] that ran the numeric phase (`"scalar"`
+    /// or `"blocked"`).
     pub kernel: &'static str,
 }
 
 /// The symbolic analysis of one factorization: supernode partition, row
-/// structure, panel layout, and the deterministic update schedule shared by
-/// the serial and parallel numeric paths.
+/// structure, panel layout, and the deterministic update schedule of the
+/// numeric sweep.
 struct Symbolic {
-    n: usize,
     /// Supernode `s` covers permuted columns `sn_ptr[s]..sn_ptr[s+1]`.
     sn_ptr: Vec<usize>,
     /// Row lists: supernode `s` owns `rows[row_ptr[s]..row_ptr[s+1]]`,
@@ -214,53 +159,36 @@ struct Symbolic {
     max_width: usize,
     /// Update schedule in CSR form: factoring supernode `s` applies the
     /// descendant contributions `upd[upd_ptr[s]..upd_ptr[s+1]]` — pairs of
-    /// (descendant, row cursor) — in exactly this order, which is the order
-    /// the serial left-looking sweep's pending queues would produce.
+    /// (descendant, row cursor) — in exactly this order, the order the
+    /// left-looking sweep's pending queues produce.
     upd_ptr: Vec<usize>,
     upd: Vec<(usize, usize)>,
     /// The prefix `upd[upd_ptr[s]..stream_hi[s]]` is streamed directly into
-    /// the panel by panel task `s`; the rest is sliced into update-chunk
-    /// tasks.
+    /// panel `s`; the rest is sliced into update chunks.
     stream_hi: Vec<usize>,
-    /// Update-chunk tasks, grouped per panel: panel `s` owns chunks
+    /// Update chunks, grouped per panel: panel `s` owns chunks
     /// `chk_ptr[s]..chk_ptr[s+1]`; chunk `t` covers updates
-    /// `upd[chunk_lo[t]..chunk_hi[t]]` of panel `chunk_panel[t]` and
-    /// accumulates into `acc[acc_ptr[t]..acc_ptr[t] + w·m]`.
+    /// `upd[chunk_lo[t]..chunk_hi[t]]` and accumulates into its own
+    /// panel-shaped buffer.
     chk_ptr: Vec<usize>,
     chunk_lo: Vec<usize>,
     chunk_hi: Vec<usize>,
-    chunk_panel: Vec<usize>,
-    acc_ptr: Vec<usize>,
-    /// Total accumulator storage (f64 entries) the chunk tasks need.
-    acc_len: usize,
     /// Chunk-accumulator reduction trees, grouped per panel: panel `s`
     /// owns combines `cmb_ptr[s]..cmb_ptr[s+1]`; combine `u` folds
     /// accumulator `cmb_src[u]` into `cmb_dst[u]` element-wise (both are
-    /// global chunk indices). Within a panel the combines form a fixed
-    /// stride-doubling pairwise tree rooted at the panel's first chunk —
-    /// pure structure, independent of worker count — so on wide
-    /// separators the O(chunks) accumulator folds ride log-depth parallel
-    /// tasks instead of the panel task's critical path. Listed in
-    /// stride order, which is the order the serial sweep runs them.
+    /// chunk indices local to the panel, so `cmb_dst[u] < cmb_src[u]`).
+    /// Within a panel the combines form a fixed stride-doubling pairwise
+    /// tree rooted at the panel's first chunk, listed in stride order.
     cmb_ptr: Vec<usize>,
     cmb_dst: Vec<usize>,
     cmb_src: Vec<usize>,
-    /// Longest weighted path through the task DAG — the schedule's span.
-    critical_path: u64,
-    /// Summed task weights.
-    total_work: u64,
-    /// Etree shape metrics over whole-supernode work (panel + chunks);
-    /// subtree weights double as DAG claim priorities.
-    metrics: TreeMetrics,
 }
 
-/// Minimum estimated-flop budget per update-chunk task: big enough that
-/// task overhead (one DAG pop, one accumulator zero/apply pass) vanishes,
-/// small enough that a root separator's update load splits into dozens of
-/// parallel chunks. The effective budget grows with the factorization
-/// (see [`Symbolic::analyze`]) so the chunk count — and with it the
-/// accumulator traffic the serial path pays — stays bounded on huge
-/// operators.
+/// Minimum estimated-flop budget per update chunk. The effective budget
+/// grows with the factorization (see [`Symbolic::analyze`]) so the chunk
+/// count — and with it the accumulator traffic — stays bounded on huge
+/// operators. Part of the structural configuration: it fixes the factor's
+/// low-order bits.
 const CHUNK_WORK_BUDGET: u64 = 1 << 18;
 
 /// Cap on the number of update chunks the adaptive budget aims for.
@@ -274,7 +202,7 @@ impl Symbolic {
     /// Runs the full symbolic phase on the permuted operator. The
     /// elimination tree is computed once, up front, and reused by the
     /// column-count sweep, the amalgamation test, the row-structure sweep,
-    /// and the supernodal task schedule.
+    /// and the update schedule.
     fn analyze(ap: &CsrMatrix, opts: &SupernodalOptions) -> Self {
         let n = ap.nrows();
 
@@ -393,22 +321,11 @@ impl Symbolic {
             val_ptr[s + 1] = val_ptr[s] + w * m;
         }
 
-        // --- Supernodal etree + deterministic update schedule -------------
-        // The supernodal etree contracts the column etree: the parent of s
-        // is the supernode owning s's first below-diagonal row (= the etree
-        // parent of s's last column). The update schedule replays the
-        // serial left-looking sweep's pending queues symbolically, freezing
-        // per supernode the exact descendant order the serial numeric loop
-        // would consume — the parallel path then applies updates in this
-        // order, which is what makes it bitwise identical to serial.
-        let mut sn_parent = vec![NONE; num_sn];
-        for s in 0..num_sn {
-            let w = sn_ptr[s + 1] - sn_ptr[s];
-            let m = row_ptr[s + 1] - row_ptr[s];
-            if m > w {
-                sn_parent[s] = col_to_sn[rows[row_ptr[s] + w]];
-            }
-        }
+        // --- Deterministic update schedule --------------------------------
+        // Replays the left-looking sweep's pending queues symbolically:
+        // after supernode s is factored it is queued on the supernode
+        // owning its next unconsumed row, so every supernode sees its
+        // descendants in a fixed order, frozen here per supernode.
         let mut upd_ptr = vec![0usize; num_sn + 1];
         let mut upd: Vec<(usize, usize)> = Vec::new();
         let mut upd_work: Vec<u64> = Vec::new();
@@ -441,24 +358,17 @@ impl Symbolic {
         }
 
         // --- Update partition: streamed or work-bounded chunks ------------
-        // Structural (worker-count-independent) by construction: a panel
-        // whose whole update load fits the budget streams it directly
-        // (keeping the PR-3 single-stream behavior exactly — no
-        // accumulator overhead where panels are small); a heavier panel
-        // streams *nothing* and slices everything into accumulator chunks,
-        // so no serial update prefix rides the critical path.
+        // A panel whose whole update load fits the budget streams it
+        // directly (no accumulator overhead where panels are small); a
+        // heavier panel streams *nothing* and slices everything into
+        // accumulator chunks.
         let mut stream_hi = vec![0usize; num_sn];
         let mut chk_ptr = vec![0usize; num_sn + 1];
         let mut chunk_lo: Vec<usize> = Vec::new();
         let mut chunk_hi: Vec<usize> = Vec::new();
-        let mut chunk_panel: Vec<usize> = Vec::new();
-        let mut acc_ptr: Vec<usize> = Vec::new();
-        let mut chunk_weight: Vec<u64> = Vec::new();
         let mut cmb_ptr = vec![0usize; num_sn + 1];
         let mut cmb_dst: Vec<usize> = Vec::new();
         let mut cmb_src: Vec<usize> = Vec::new();
-        let mut panel_weight = vec![0u64; num_sn];
-        let mut acc_len = 0usize;
         // Structure-only adaptive budget: at least the configured floor,
         // and at most ~CHUNK_COUNT_TARGET chunks across the whole
         // factorization.
@@ -467,14 +377,9 @@ impl Symbolic {
             .max(1)
             .max(upd_work.iter().sum::<u64>() / CHUNK_COUNT_TARGET);
         for s in 0..num_sn {
-            let w = sn_ptr[s + 1] - sn_ptr[s];
-            let m = row_ptr[s + 1] - row_ptr[s];
             let hi = upd_ptr[s + 1];
             let mut i = upd_ptr[s];
-            let total: u64 = upd_work[i..hi].iter().sum();
-            let mut streamed = 0u64;
-            if total < budget {
-                streamed = total;
+            if upd_work[i..hi].iter().sum::<u64>() < budget {
                 i = hi;
             }
             stream_hi[s] = i;
@@ -487,97 +392,26 @@ impl Symbolic {
                 }
                 chunk_lo.push(lo);
                 chunk_hi.push(i);
-                chunk_panel.push(s);
-                acc_ptr.push(acc_len);
-                acc_len += w * m;
-                chunk_weight.push(work.max(1));
             }
             chk_ptr[s + 1] = chunk_lo.len();
             // Fixed stride-doubling pairwise reduction tree over this
-            // panel's chunks, rooted at the first chunk: the panel task
-            // then subtracts the root accumulator only.
-            let lo_t = chk_ptr[s];
-            let q = chk_ptr[s + 1] - lo_t;
+            // panel's chunks, rooted at the first chunk: the panel then
+            // subtracts the root accumulator only.
+            let q = chk_ptr[s + 1] - chk_ptr[s];
             let mut stride = 1usize;
             while stride < q {
                 let mut i = 0;
                 while i + stride < q {
-                    cmb_dst.push(lo_t + i);
-                    cmb_src.push(lo_t + i + stride);
+                    cmb_dst.push(i);
+                    cmb_src.push(i + stride);
                     i += 2 * stride;
                 }
                 stride *= 2;
             }
             cmb_ptr[s + 1] = cmb_dst.len();
-            let nchunks = (chk_ptr[s + 1] - chk_ptr[s]) as u64;
-            // Assembly + streamed updates + one element-wise root-chunk
-            // subtraction + dense in-panel Cholesky (the per-chunk folds
-            // are combine tasks with their own weights).
-            let root_apply = if nchunks > 0 { (w * m) as u64 } else { 0 };
-            panel_weight[s] = ((w * m) as u64 + streamed + root_apply + (w * w * m) as u64).max(1);
         }
-
-        // --- Schedule span: longest weighted path through the task DAG ----
-        // Panels are visited in serial (topological) order, so a single
-        // pass suffices: a chunk's predecessors are the panels it reads, a
-        // combine's the chunk/combine that last wrote each side, and a
-        // panel's its streamed descendants plus the root of its combine
-        // tree.
-        let mut critical_path = 0u64;
-        let mut total_work = 0u64;
-        {
-            let mut lp = vec![0u64; num_sn]; // longest path ending at panel s
-            let mut clp: Vec<u64> = Vec::new(); // per-chunk, reused per panel
-            for s in 0..num_sn {
-                let w = sn_ptr[s + 1] - sn_ptr[s];
-                let m = row_ptr[s + 1] - row_ptr[s];
-                let mut best = 0u64;
-                for i in upd_ptr[s]..stream_hi[s] {
-                    best = best.max(lp[upd[i].0]);
-                }
-                let lo_t = chk_ptr[s];
-                clp.clear();
-                for t in lo_t..chk_ptr[s + 1] {
-                    let mut chunk_best = 0u64;
-                    for i in chunk_lo[t]..chunk_hi[t] {
-                        chunk_best = chunk_best.max(lp[upd[i].0]);
-                    }
-                    clp.push(chunk_best + chunk_weight[t]);
-                    total_work += chunk_weight[t];
-                }
-                // Fold the combine tree: each combine waits for both its
-                // accumulators' last writers and costs one w·m pass.
-                let cmb_weight = (w * m) as u64;
-                for u in cmb_ptr[s]..cmb_ptr[s + 1] {
-                    let (d, c) = (cmb_dst[u] - lo_t, cmb_src[u] - lo_t);
-                    clp[d] = clp[d].max(clp[c]) + cmb_weight;
-                    total_work += cmb_weight;
-                }
-                if !clp.is_empty() {
-                    best = best.max(clp[0]);
-                }
-                lp[s] = best + panel_weight[s];
-                total_work += panel_weight[s];
-                critical_path = critical_path.max(lp[s]);
-            }
-        }
-
-        // Whole-supernode work (panel + its chunks + its combine folds)
-        // drives the tree-shape metrics and the claim priorities.
-        let sn_weight: Vec<u64> = (0..num_sn)
-            .map(|s| {
-                let w = sn_ptr[s + 1] - sn_ptr[s];
-                let m = row_ptr[s + 1] - row_ptr[s];
-                let folds = (cmb_ptr[s + 1] - cmb_ptr[s]) as u64 * (w * m) as u64;
-                panel_weight[s]
-                    + folds
-                    + chunk_weight[chk_ptr[s]..chk_ptr[s + 1]].iter().sum::<u64>()
-            })
-            .collect();
-        let metrics = tree_metrics(&sn_parent, &sn_weight);
 
         Self {
-            n,
             sn_ptr,
             row_ptr,
             rows,
@@ -590,95 +424,85 @@ impl Symbolic {
             chk_ptr,
             chunk_lo,
             chunk_hi,
-            chunk_panel,
-            acc_ptr,
-            acc_len,
             cmb_ptr,
             cmb_dst,
             cmb_src,
-            critical_path,
-            total_work,
-            metrics,
         }
     }
 }
 
-/// Per-worker dense scratch of the numeric phase, reused across supernode
-/// tasks.
-struct PanelScratch {
+/// Dense scratch of one descendant update, reused across updates.
+struct UpdateScratch {
+    /// Maps a permuted row to its local index in the current panel.
     relmap: Vec<usize>,
     relrows: Vec<usize>,
     update: Vec<f64>,
 }
 
+/// Dense scratch of the numeric sweep, reused across supernodes.
+struct PanelScratch {
+    update: UpdateScratch,
+    /// Chunk accumulators of the current panel, one panel-shaped slice per
+    /// chunk.
+    acc: Vec<f64>,
+}
+
 impl PanelScratch {
     fn new(n: usize) -> Self {
         Self {
-            relmap: vec![0usize; n],
-            relrows: Vec::new(),
-            update: Vec::new(),
+            update: UpdateScratch {
+                relmap: vec![0usize; n],
+                relrows: Vec::new(),
+                update: Vec::new(),
+            },
+            acc: Vec::new(),
         }
     }
 }
 
-/// Panel and accumulator storage shared across factorization tasks. Tasks
-/// write disjoint ranges (a panel task its `val_ptr` slice, a chunk task
-/// its `acc_ptr` slice) and read only ranges of completed predecessors, so
-/// the aliasing is benign; see [`run_panel_task`] / [`run_chunk_task`].
-struct SharedStorage {
-    values: *mut f64,
-    acc: *mut f64,
-}
-
-// SAFETY: the raw pointers are only dereferenced inside the task bodies
-// under the scope_dag discipline documented there.
-unsafe impl Send for SharedStorage {}
-unsafe impl Sync for SharedStorage {}
-
 /// Computes one descendant contribution `C = G·G₁ᵀ` and scatters it into
 /// `dst` — the panel itself (subtracting, the streamed path) or a chunk
-/// accumulator (adding; the panel task later subtracts the whole
-/// accumulator). `scratch.relmap` must already map this panel's rows to
-/// local indices.
-///
-/// # Safety
-///
-/// `values` must point at the full panel storage laid out by
-/// `sym.val_ptr`, and descendant `d` must be fully factored with its
-/// writes visible to this thread.
+/// accumulator (adding; the panel later subtracts the whole accumulator).
+/// `factored` holds every panel before the current one; descendant `d` is
+/// among them. `scratch.relmap` must already map the current panel's rows
+/// to local indices.
 #[allow(clippy::too_many_arguments)] // internal kernel, call sites are two
-unsafe fn apply_update(
+fn apply_update(
     sym: &Symbolic,
     kern: &dyn DenseKernel,
-    values: *const f64,
-    d: usize,
-    p: usize,
+    factored: &[f64],
+    (d, p): (usize, usize),
     c0: usize,
     c1: usize,
     m: usize,
     dst: &mut [f64],
-    scratch: &mut PanelScratch,
+    scratch: &mut UpdateScratch,
     subtract: bool,
 ) {
-    let PanelScratch {
+    let UpdateScratch {
         relmap,
         relrows,
         update,
     } = scratch;
     let rows_d = &sym.rows[sym.row_ptr[d]..sym.row_ptr[d + 1]];
-    let wd = sym.sn_ptr[d + 1] - sym.sn_ptr[d];
     let md = rows_d.len();
     let p2 = p + rows_d[p..].partition_point(|&r| r < c1);
     let wj = p2 - p;
     let mu = md - p;
     debug_assert!(wj >= 1);
-    // SAFETY: `d` is fully factored (function contract) and read-only here.
-    let panel_d = unsafe { std::slice::from_raw_parts(values.add(sym.val_ptr[d]), wd * md) };
+    let panel_d = &factored[sym.val_ptr[d]..sym.val_ptr[d + 1]];
 
     // Accumulated as wd rank-1 updates over contiguous columns.
     update.clear();
     update.resize(mu * wj, 0.0);
-    kern.rank_update(update, panel_d, md, p, wj, wd);
+    kern.rank_update(
+        update,
+        panel_d,
+        md,
+        p,
+        wj,
+        sym.sn_ptr[d + 1] - sym.sn_ptr[d],
+    );
 
     // Scatter through relative indices (the rows of a descendant's tail
     // are a subset of this panel's rows).
@@ -702,103 +526,47 @@ unsafe fn apply_update(
     }
 }
 
-/// Accumulates update-chunk `t` into its private panel-shaped buffer — the
-/// task body shared verbatim by the serial sweep and the DAG.
-///
-/// # Safety
-///
-/// `values`/`acc` must point at the full panel/accumulator storage; the
-/// caller must guarantee exclusive access to accumulator slice `t` and
-/// that every descendant read by the chunk is fully factored with its
-/// writes visible (serial: ascending task order; parallel:
-/// [`WorkPool::scope_dag`]'s dependency edges).
-unsafe fn run_chunk_task(
-    sym: &Symbolic,
-    kern: &dyn DenseKernel,
-    values: *const f64,
-    acc: *mut f64,
-    t: usize,
-    scratch: &mut PanelScratch,
-) {
-    let s = sym.chunk_panel[t];
-    let c0 = sym.sn_ptr[s];
-    let c1 = sym.sn_ptr[s + 1];
-    let w = c1 - c0;
-    let rows_s = &sym.rows[sym.row_ptr[s]..sym.row_ptr[s + 1]];
-    let m = rows_s.len();
-    for (i, &r) in rows_s.iter().enumerate() {
-        scratch.relmap[r] = i;
-    }
-    // SAFETY: exclusive access to accumulator `t` per the contract; it was
-    // zero-initialized at allocation and is written by exactly this task.
-    let accbuf = unsafe { std::slice::from_raw_parts_mut(acc.add(sym.acc_ptr[t]), w * m) };
-    for &(d, p) in &sym.upd[sym.chunk_lo[t]..sym.chunk_hi[t]] {
-        // SAFETY: propagated contract.
-        unsafe { apply_update(sym, kern, values, d, p, c0, c1, m, accbuf, scratch, false) };
-    }
-}
-
-/// Folds accumulator `cmb_src[u]` into `cmb_dst[u]` element-wise — one
-/// edge of a panel's chunk-reduction tree, shared verbatim by the serial
-/// sweep and the DAG. The fold is `dst += 1.0 · src`, which every kernel
-/// computes exactly (a fused multiply-add by 1.0 rounds like a plain
-/// add), so the factor bits do not depend on which kernel runs it.
-///
-/// # Safety
-///
-/// `acc` must point at the full accumulator storage; the caller must
-/// guarantee exclusive access to both accumulators of combine `u` and
-/// that their previous writers (the chunk tasks, and any earlier combines
-/// of the same tree) have run with their writes visible to this thread.
-unsafe fn run_combine_task(sym: &Symbolic, kern: &dyn DenseKernel, acc: *mut f64, u: usize) {
-    let s = sym.chunk_panel[sym.cmb_dst[u]];
-    let w = sym.sn_ptr[s + 1] - sym.sn_ptr[s];
-    let m = sym.row_ptr[s + 1] - sym.row_ptr[s];
-    // SAFETY: distinct chunks own disjoint `acc_ptr` slices, and the
-    // contract grants exclusive access to both sides of this combine.
-    let dst =
-        unsafe { std::slice::from_raw_parts_mut(acc.add(sym.acc_ptr[sym.cmb_dst[u]]), w * m) };
-    let src = unsafe { std::slice::from_raw_parts(acc.add(sym.acc_ptr[sym.cmb_src[u]]), w * m) };
-    kern.axpy(1.0, src, dst);
-}
-
-/// Assembles, updates and factors panel `s` in place — the task body
-/// shared verbatim by the serial sweep and the DAG, which is what makes
-/// the two paths bitwise identical.
+/// Assembles, updates and factors panel `s` in place. `factored` holds
+/// every panel before `s` (all of `s`'s descendants), `panel` is `s`'s own
+/// storage.
 ///
 /// On a non-positive pivot, returns `Err((row, pivot))` in permuted
 /// coordinates.
-///
-/// # Safety
-///
-/// `values`/`acc` must point at the full panel/accumulator storage laid
-/// out by `sym`, and the caller must guarantee (a) exclusive access to
-/// panel `s` for the duration of the call, (b) that every streamed
-/// descendant in `sym.upd[upd_ptr[s]..stream_hi[s]]` is fully factored and
-/// (c) that every chunk and combine of `s` has run, all with their writes
-/// visible to this thread. The serial sweep satisfies this by running
-/// tasks one at a time in schedule order; the parallel path by
-/// [`WorkPool::scope_dag`]'s dependency edges and its mutex-backed
-/// happens-before edge.
-unsafe fn run_panel_task(
+fn factor_supernode(
     sym: &Symbolic,
     kern: &dyn DenseKernel,
     ap: &CsrMatrix,
-    values: *mut f64,
-    acc: *const f64,
+    factored: &[f64],
+    panel: &mut [f64],
     s: usize,
     scratch: &mut PanelScratch,
 ) -> Result<(), (usize, f64)> {
+    let PanelScratch { update, acc } = scratch;
     let c0 = sym.sn_ptr[s];
     let c1 = sym.sn_ptr[s + 1];
-    let w = c1 - c0;
     let rows_s = &sym.rows[sym.row_ptr[s]..sym.row_ptr[s + 1]];
     let m = rows_s.len();
-    // SAFETY: exclusive access to panel `s` per the function contract.
-    let panel = unsafe { std::slice::from_raw_parts_mut(values.add(sym.val_ptr[s]), w * m) };
-
+    let wm = panel.len();
     for (i, &r) in rows_s.iter().enumerate() {
-        scratch.relmap[r] = i;
+        update.relmap[r] = i;
+    }
+
+    // Update chunks, each into its own zeroed accumulator, then the
+    // panel's fixed pairwise combine tree folds them into the first one.
+    // The folds are `dst += 1.0 · src`, which every kernel computes
+    // exactly (a fused multiply-add by 1.0 rounds like a plain add).
+    let chunks = sym.chk_ptr[s]..sym.chk_ptr[s + 1];
+    acc.clear();
+    acc.resize(chunks.len() * wm, 0.0);
+    for (accbuf, t) in acc.chunks_exact_mut(wm).zip(chunks) {
+        for &upd in &sym.upd[sym.chunk_lo[t]..sym.chunk_hi[t]] {
+            apply_update(sym, kern, factored, upd, c0, c1, m, accbuf, update, false);
+        }
+    }
+    for u in sym.cmb_ptr[s]..sym.cmb_ptr[s + 1] {
+        let (lo, hi) = acc.split_at_mut(sym.cmb_src[u] * wm);
+        let dst = sym.cmb_dst[u] * wm;
+        kern.axpy(1.0, &hi[..wm], &mut lo[dst..dst + wm]);
     }
 
     // Scatter A's columns (read row c of the permuted matrix: by symmetry
@@ -807,30 +575,23 @@ unsafe fn run_panel_task(
         let (cols, vals) = ap.row(c);
         let start = cols.partition_point(|&j| j < c);
         for (&j, &v) in cols[start..].iter().zip(&vals[start..]) {
-            panel[lc * m + scratch.relmap[j]] = v;
+            panel[lc * m + update.relmap[j]] = v;
         }
     }
 
-    // Streamed descendant updates, in the precomputed serial-sweep order.
-    for &(d, p) in &sym.upd[sym.upd_ptr[s]..sym.stream_hi[s]] {
-        // SAFETY: propagated contract (streamed descendants are factored).
-        unsafe { apply_update(sym, kern, values, d, p, c0, c1, m, panel, scratch, true) };
+    // Streamed descendant updates, in schedule order.
+    for &upd in &sym.upd[sym.upd_ptr[s]..sym.stream_hi[s]] {
+        apply_update(sym, kern, factored, upd, c0, c1, m, panel, update, true);
     }
 
-    // The chunk accumulators were folded into the first chunk by the
-    // panel's combine tree; subtract that root once. (`-1.0 · acc` is
-    // exact under every kernel, like the combine folds.)
-    if sym.chk_ptr[s + 1] > sym.chk_ptr[s] {
-        let root = sym.chk_ptr[s];
-        // SAFETY: every chunk and combine of `s` has run (function
-        // contract), so the root accumulator is final and read-only here;
-        // its slice is disjoint from every panel.
-        let accbuf = unsafe { std::slice::from_raw_parts(acc.add(sym.acc_ptr[root]), w * m) };
-        kern.axpy(-1.0, accbuf, panel);
+    // Subtract the combine tree's root once (`-1.0 · acc` is exact under
+    // every kernel, like the folds).
+    if !acc.is_empty() {
+        kern.axpy(-1.0, &acc[..wm], panel);
     }
 
     // Dense in-panel column Cholesky (left-looking within the panel).
-    kern.factor_panel(panel, m, w)
+    kern.factor_panel(panel, m, c1 - c0)
         .map_err(|(j, pivot)| (c0 + j, pivot))
 }
 
@@ -870,16 +631,6 @@ pub struct SupernodalCholesky {
     values: Vec<f64>,
     true_nnz: usize,
     max_width: usize,
-    /// Etree shape of the factorization (height, critical path, subtree
-    /// balance), frozen into the stats.
-    etree_height: usize,
-    critical_path: u64,
-    total_work: u64,
-    max_subtree_weight: u64,
-    mean_subtree_weight: f64,
-    /// Worker slots the numeric phase actually used (1 for the serial
-    /// sweep).
-    factor_workers: usize,
     /// The microkernel the numeric phase ran on; the solve sweeps reuse
     /// it so factor and solve share one choice.
     kernel: KernelChoice,
@@ -906,11 +657,6 @@ impl SupernodalCholesky {
 
     /// Factors with a caller-supplied fill-reducing permutation and
     /// supernode options.
-    ///
-    /// With [`SupernodalOptions::parallel`] set (the default) the numeric
-    /// phase runs as an elimination-tree task DAG on the current
-    /// [`WorkPool`]; the factor is bitwise identical to the serial sweep at
-    /// every pool cap (see the module docs).
     ///
     /// # Errors
     ///
@@ -939,20 +685,22 @@ impl SupernodalCholesky {
                 values: Vec::new(),
                 true_nnz: 0,
                 max_width: 0,
-                etree_height: 0,
-                critical_path: 0,
-                total_work: 0,
-                max_subtree_weight: 0,
-                mean_subtree_weight: 0.0,
-                factor_workers: 1,
                 kernel: opts.kernel,
             });
         }
         let ap = a.permuted_symmetric(&perm);
         let sym = Symbolic::analyze(&ap, opts);
         let mut values = vec![0.0f64; sym.val_ptr[sym.num_sn()]];
-        let factor_workers =
-            Self::factor_numeric(&sym, &ap, &mut values, opts.parallel, opts.kernel.kernel())?;
+        let kern = opts.kernel.kernel();
+        let mut scratch = PanelScratch::new(n);
+        for s in 0..sym.num_sn() {
+            // Descendants precede `s` in panel order, so the split hands
+            // out every panel `s` reads (read-only) next to its own.
+            let (factored, rest) = values.split_at_mut(sym.val_ptr[s]);
+            let panel = &mut rest[..sym.val_ptr[s + 1] - sym.val_ptr[s]];
+            factor_supernode(&sym, kern, &ap, factored, panel, s, &mut scratch)
+                .map_err(|(row, pivot)| LinalgError::NotPositiveDefinite { row, pivot })?;
+        }
 
         Ok(Self {
             n,
@@ -964,180 +712,8 @@ impl SupernodalCholesky {
             values,
             true_nnz: sym.true_nnz,
             max_width: sym.max_width,
-            etree_height: sym.metrics.height,
-            critical_path: sym.critical_path,
-            total_work: sym.total_work,
-            max_subtree_weight: sym.metrics.max_parallel_subtree,
-            mean_subtree_weight: sym.metrics.mean_parallel_subtree,
-            factor_workers,
             kernel: opts.kernel,
         })
-    }
-
-    /// The numeric phase: runs every update-chunk and panel task exactly
-    /// once, serially or as a dependency DAG on the current pool. Returns
-    /// the worker slots used.
-    fn factor_numeric(
-        sym: &Symbolic,
-        ap: &CsrMatrix,
-        values: &mut [f64],
-        parallel: bool,
-        kern: &dyn DenseKernel,
-    ) -> Result<usize, LinalgError> {
-        let num_sn = sym.num_sn();
-        let num_chunks = sym.chunk_panel.len();
-        let num_combines = sym.cmb_dst.len();
-        // Chunk accumulators: zero-initialized, one panel-shaped slice per
-        // update-chunk task.
-        let mut acc = vec![0.0f64; sym.acc_len];
-        let pool = WorkPool::current();
-        // A schedule with (almost) no work off the critical path cannot
-        // win — RCM/banded orderings produce pure-chain etrees
-        // (`total_work == critical_path`) where the DAG would pay per-task
-        // queue traffic for zero overlap. Fall back to the serial sweep;
-        // results are bitwise identical either way, and the condition is
-        // structural, so it is still pool-cap-invariant.
-        let parallel = parallel && sym.total_work >= sym.critical_path + sym.critical_path / 4;
-        if !parallel || pool.cap() == 1 || num_sn <= 1 {
-            let mut scratch = PanelScratch::new(sym.n);
-            for s in 0..num_sn {
-                // SAFETY: one task at a time in schedule order — every
-                // predecessor of each task already ran and nothing aliases
-                // its output slice.
-                unsafe {
-                    for t in sym.chk_ptr[s]..sym.chk_ptr[s + 1] {
-                        run_chunk_task(
-                            sym,
-                            kern,
-                            values.as_ptr(),
-                            acc.as_mut_ptr(),
-                            t,
-                            &mut scratch,
-                        );
-                    }
-                    for u in sym.cmb_ptr[s]..sym.cmb_ptr[s + 1] {
-                        run_combine_task(sym, kern, acc.as_mut_ptr(), u);
-                    }
-                    run_panel_task(
-                        sym,
-                        kern,
-                        ap,
-                        values.as_mut_ptr(),
-                        acc.as_ptr(),
-                        s,
-                        &mut scratch,
-                    )
-                    .map_err(|(row, pivot)| LinalgError::NotPositiveDefinite { row, pivot })?;
-                }
-            }
-            return Ok(1);
-        }
-
-        // Task DAG: nodes 0..num_sn are panel tasks, then update chunks,
-        // then combine folds. A chunk waits for the descendants it reads;
-        // a combine for the last writer of each of its two accumulators;
-        // a panel for its streamed descendants and the last writer of its
-        // root accumulator (which transitively orders every chunk and
-        // combine of its tree before it).
-        let mut dag = TaskDag::new(num_sn + num_chunks + num_combines);
-        // Last DAG node to have written each chunk accumulator so far —
-        // initially the chunk task itself, then the combines that fold
-        // into (or read) it, in tree order.
-        let mut last_writer: Vec<usize> = (0..num_chunks).map(|t| num_sn + t).collect();
-        for t in 0..num_chunks {
-            let s = sym.chunk_panel[t];
-            for i in sym.chunk_lo[t]..sym.chunk_hi[t] {
-                dag.add_dependency(sym.upd[i].0, num_sn + t);
-            }
-            dag.set_priority(num_sn + t, sym.metrics.subtree_weight[s]);
-        }
-        for u in 0..num_combines {
-            let node = num_sn + num_chunks + u;
-            let (d, c) = (sym.cmb_dst[u], sym.cmb_src[u]);
-            dag.add_dependency(last_writer[d], node);
-            dag.add_dependency(last_writer[c], node);
-            last_writer[d] = node;
-            dag.set_priority(node, sym.metrics.subtree_weight[sym.chunk_panel[d]]);
-        }
-        for s in 0..num_sn {
-            for i in sym.upd_ptr[s]..sym.stream_hi[s] {
-                dag.add_dependency(sym.upd[i].0, s);
-            }
-            if sym.chk_ptr[s + 1] > sym.chk_ptr[s] {
-                dag.add_dependency(last_writer[sym.chk_ptr[s]], s);
-            }
-            // Heaviest independent subtrees first keeps the tail short.
-            dag.set_priority(s, sym.metrics.subtree_weight[s]);
-        }
-        dag.seal();
-
-        let shared = SharedStorage {
-            values: values.as_mut_ptr(),
-            acc: acc.as_mut_ptr(),
-        };
-        // Capture the `Sync` wrapper, not its raw-pointer fields (edition
-        // 2021 closures capture disjoint fields).
-        let shared = &shared;
-        let failed = AtomicBool::new(false);
-        let first_error: Mutex<Option<(usize, f64)>> = Mutex::new(None);
-        let workers = pool.scope_dag_with(
-            pool.cap(),
-            &dag,
-            || PanelScratch::new(sym.n),
-            |scratch, node| {
-                if failed.load(Ordering::Acquire) {
-                    // A pivot already failed: let the DAG drain without
-                    // doing (now meaningless) numeric work.
-                    return;
-                }
-                if node >= num_sn + num_chunks {
-                    // SAFETY: scope_dag ordered the last writers of both
-                    // accumulators before this combine, with a
-                    // happens-before edge; no other live task touches
-                    // either slice.
-                    unsafe {
-                        run_combine_task(sym, kern, shared.acc, node - num_sn - num_chunks);
-                    }
-                    return;
-                }
-                if node >= num_sn {
-                    // SAFETY: scope_dag ordered every descendant this chunk
-                    // reads before it, with a happens-before edge; the
-                    // accumulator slice is written by exactly this task.
-                    unsafe {
-                        run_chunk_task(
-                            sym,
-                            kern,
-                            shared.values,
-                            shared.acc,
-                            node - num_sn,
-                            scratch,
-                        );
-                    }
-                    return;
-                }
-                // SAFETY: scope_dag ordered the streamed descendants and
-                // the combine-tree root of `node` before it, with a
-                // happens-before edge; tasks write disjoint panel ranges.
-                if let Err((row, pivot)) = unsafe {
-                    run_panel_task(sym, kern, ap, shared.values, shared.acc, node, scratch)
-                } {
-                    failed.store(true, Ordering::Release);
-                    let mut slot = first_error.lock().expect("factor error slot poisoned");
-                    // Deterministic report: keep the smallest failing row.
-                    if slot.is_none_or(|(r, _)| row < r) {
-                        *slot = Some((row, pivot));
-                    }
-                }
-            },
-        );
-        if let Some((row, pivot)) = first_error
-            .into_inner()
-            .expect("factor error slot poisoned")
-        {
-            return Err(LinalgError::NotPositiveDefinite { row, pivot });
-        }
-        Ok(workers)
     }
 
     /// Dimension of the factored matrix.
@@ -1152,20 +728,13 @@ impl SupernodalCholesky {
     }
 
     /// The raw panel storage, exposed for differential tests (the
-    /// parallel-vs-serial bitwise proptests compare it directly).
+    /// bit-pinning and pool-cap invariance tests compare it directly).
     pub fn factor_values(&self) -> &[f64] {
         &self.values
     }
 
-    /// Worker slots the numeric factorization actually used (1 for the
-    /// serial sweep or a cap-1 pool). Scheduling-dependent telemetry, like
-    /// [`SolveReport::workers`](crate::SolveReport::workers).
-    pub fn factor_workers(&self) -> usize {
-        self.factor_workers
-    }
-
-    /// Resolved name of the microkernel the factorization and solve
-    /// sweeps run on (`"scalar"`, `"blocked"`, or `"avx2"`).
+    /// Name of the microkernel the factorization and solve sweeps run on
+    /// (`"scalar"` or `"blocked"`).
     pub fn kernel_name(&self) -> &'static str {
         self.kernel.resolved_name()
     }
@@ -1177,11 +746,6 @@ impl SupernodalCholesky {
             max_width: self.max_width,
             stored_nnz: self.values.len(),
             true_nnz: self.true_nnz,
-            etree_height: self.etree_height,
-            critical_path: self.critical_path as usize,
-            total_work: self.total_work as usize,
-            max_subtree_weight: self.max_subtree_weight as usize,
-            mean_subtree_weight: self.mean_subtree_weight,
             kernel: self.kernel_name(),
         }
     }
@@ -1338,55 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_factor_is_bitwise_equal_to_serial() {
-        let a = laplacian_2d(17, 11);
-        let perm = FillOrdering::Rcm.permutation(&a);
-        // A tiny chunk budget forces real update-chunk tasks (and their
-        // combine trees) even at this size, so all three task kinds of
-        // the DAG are exercised — for every kernel this host resolves.
-        for &kernel in KernelChoice::available() {
-            for chunk_work in [SupernodalOptions::default().chunk_work, 64] {
-                let opts = SupernodalOptions {
-                    chunk_work,
-                    kernel,
-                    ..SupernodalOptions::default()
-                };
-                let serial = SupernodalCholesky::factor_with_permutation(
-                    &a,
-                    perm.clone(),
-                    &SupernodalOptions {
-                        parallel: false,
-                        ..opts
-                    },
-                )
-                .unwrap();
-                assert_eq!(serial.factor_workers(), 1);
-                for cap in [1usize, 2, 8] {
-                    let parallel = WorkPool::new(cap).install(|| {
-                        SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
-                            .unwrap()
-                    });
-                    assert!(parallel.factor_workers() <= cap.max(1));
-                    assert_eq!(serial.factor_values().len(), parallel.factor_values().len());
-                    for (i, (p, q)) in serial
-                        .factor_values()
-                        .iter()
-                        .zip(parallel.factor_values())
-                        .enumerate()
-                    {
-                        assert_eq!(
-                            p.to_bits(),
-                            q.to_bits(),
-                            "panel entry {i} at cap {cap} (chunk_work {chunk_work}, kernel {})",
-                            kernel.resolved_name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn kernels_agree_within_tolerance() {
         // Every kernel must reproduce the scalar oracle's solution to
         // ≤1e-12 (they associate sums differently, so bitwise equality is
@@ -1428,55 +943,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn chain_schedules_fall_back_to_serial() {
-        // A tridiagonal operator in natural order has a pure-chain etree:
-        // the whole schedule is one critical path, so the DAG would add
-        // overhead for zero overlap and the numeric phase must pick the
-        // (bitwise-identical) serial sweep even on a big pool.
-        let n = 200;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 4.0);
-            if i > 0 {
-                coo.push(i, i - 1, -1.0);
-            }
-            if i + 1 < n {
-                coo.push(i + 1, i, -1.0);
-            }
-        }
-        let a = coo.to_csr();
-        let chol = WorkPool::new(8).install(|| {
-            SupernodalCholesky::factor_with_permutation(
-                &a,
-                FillOrdering::Natural.permutation(&a),
-                &SupernodalOptions::default(),
-            )
-            .unwrap()
-        });
-        let stats = chol.stats();
-        assert_eq!(stats.critical_path, stats.total_work, "chain schedule");
-        assert_eq!(chol.factor_workers(), 1, "chain must run serially");
-    }
-
-    #[test]
-    fn etree_stats_are_consistent() {
-        let a = laplacian_2d(20, 20);
-        let chol = SupernodalCholesky::factor(&a).unwrap();
-        let stats = chol.stats();
-        assert!(stats.etree_height >= 1);
-        assert!(stats.etree_height <= stats.supernodes);
-        assert!(stats.critical_path >= 1);
-        assert!(
-            stats.critical_path <= stats.total_work,
-            "span {} cannot exceed total work {}",
-            stats.critical_path,
-            stats.total_work
-        );
-        assert!(stats.max_subtree_weight <= stats.total_work);
-        assert!(stats.mean_subtree_weight <= stats.max_subtree_weight as f64);
     }
 
     #[test]
@@ -1565,20 +1031,15 @@ mod tests {
         coo.push(1, 0, 3.0);
         coo.push(1, 1, 1.0);
         let a = coo.to_csr();
-        for parallel in [false, true] {
-            let result = SupernodalCholesky::factor_with_permutation(
-                &a,
-                FillOrdering::Natural.permutation(&a),
-                &SupernodalOptions {
-                    parallel,
-                    ..SupernodalOptions::default()
-                },
-            );
-            assert!(matches!(
-                result,
-                Err(LinalgError::NotPositiveDefinite { .. })
-            ));
-        }
+        let result = SupernodalCholesky::factor_with_permutation(
+            &a,
+            FillOrdering::Natural.permutation(&a),
+            &SupernodalOptions::default(),
+        );
+        assert!(matches!(
+            result,
+            Err(LinalgError::NotPositiveDefinite { row: 1, .. })
+        ));
     }
 
     #[test]
@@ -1604,7 +1065,6 @@ mod tests {
         let a = coo.to_csr();
         let chol = SupernodalCholesky::factor(&a).unwrap();
         assert_eq!(chol.stats().supernodes, 1);
-        assert_eq!(chol.stats().etree_height, 1);
         let b: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
         let x = chol.solve(&b);
         assert!(a.residual(&x, &b) < 1e-12);

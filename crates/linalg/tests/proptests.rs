@@ -12,7 +12,7 @@ use morestress_linalg::{
     CholeskyKernel, CooMatrix, CsrMatrix, DenseKernel, DenseMatrix, DirectCholesky, FactorCache,
     FaultPlan, FillOrdering, GmresOptions, JacobiPreconditioner, KernelChoice, LinalgError,
     PartitionHint, Permutation, ScalarKernel, ShardPlan, Sharded, SolverBackend, SparseCholesky,
-    SupernodalCholesky, SupernodalOptions, TaskDag, WorkPool,
+    SupernodalCholesky, SupernodalOptions, WorkPool,
 };
 use proptest::prelude::*;
 
@@ -495,130 +495,6 @@ proptest! {
             prop_assert_eq!(batch.report.rhs_count, bs.len());
             for (b, x) in bs.iter().zip(&batch.xs) {
                 prop_assert_eq!(&prepared.solve(b).expect("direct solve").x, x);
-            }
-        }
-    }
-
-    /// The elimination-tree-parallel numeric factorization is bitwise
-    /// identical to the serial left-looking sweep on random SPD operators,
-    /// at every pool cap (serial, minimal, saturated, oversubscribed) and
-    /// across orderings — the PR-4 determinism contract.
-    #[test]
-    fn parallel_factor_is_bitwise_equal_to_serial(a in spd_strategy(14),
-                                                  b in prop::collection::vec(-4.0f64..4.0, 14),
-                                                  max_width in 1usize..6,
-                                                  // Tiny budgets force update-chunk tasks even at
-                                                  // this size, covering both DAG task kinds.
-                                                  chunk_exp in 4usize..19) {
-        let chunk_work = 1u64 << chunk_exp;
-        for ordering in [FillOrdering::Rcm, FillOrdering::NestedDissection] {
-            let perm = ordering.permutation(&a);
-            let opts = SupernodalOptions { max_width, chunk_work, ..Default::default() };
-            let serial = SupernodalCholesky::factor_with_permutation(
-                &a,
-                perm.clone(),
-                &SupernodalOptions { parallel: false, ..opts },
-            ).expect("SPD");
-            prop_assert_eq!(serial.factor_workers(), 1);
-            let x_serial = serial.solve(&b);
-            for cap in [1usize, 2, 8, 33] {
-                let parallel = WorkPool::new(cap).install(|| {
-                    SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
-                        .expect("SPD")
-                });
-                prop_assert!(parallel.factor_workers() <= cap);
-                prop_assert_eq!(serial.factor_values().len(), parallel.factor_values().len());
-                for (i, (p, q)) in serial
-                    .factor_values()
-                    .iter()
-                    .zip(parallel.factor_values())
-                    .enumerate()
-                {
-                    prop_assert_eq!(p.to_bits(), q.to_bits(),
-                        "{:?} panel entry {} differs at cap {}", ordering, i, cap);
-                }
-                let x_parallel = parallel.solve(&b);
-                for (p, q) in x_serial.iter().zip(&x_parallel) {
-                    prop_assert_eq!(p.to_bits(), q.to_bits());
-                }
-            }
-        }
-    }
-
-    /// Same bitwise parallel-vs-serial contract on structured lattice
-    /// operators (the shape the MORE-Stress stages actually factor), where
-    /// the supernodal etree has real branching.
-    #[test]
-    fn parallel_factor_matches_serial_on_lattices(nx in 3usize..10,
-                                                  ny in 3usize..8,
-                                                  jitter in prop::collection::vec(0.0f64..1.0, 16),
-                                                  chunk_exp in 4usize..19) {
-        let chunk_work = 1u64 << chunk_exp;
-        let n = nx * ny;
-        let id = |i: usize, j: usize| j * nx + i;
-        let mut coo = CooMatrix::new(n, n);
-        for j in 0..ny {
-            for i in 0..nx {
-                let me = id(i, j);
-                coo.push(me, me, 4.1 + jitter[me % jitter.len()]);
-                if i > 0 { coo.push(me, id(i - 1, j), -1.0); }
-                if i + 1 < nx { coo.push(me, id(i + 1, j), -1.0); }
-                if j > 0 { coo.push(me, id(i, j - 1), -1.0); }
-                if j + 1 < ny { coo.push(me, id(i, j + 1), -1.0); }
-            }
-        }
-        let a = coo.to_csr();
-        let perm = FillOrdering::NestedDissection.permutation(&a);
-        let opts = SupernodalOptions { chunk_work, ..Default::default() };
-        let serial = SupernodalCholesky::factor_with_permutation(
-            &a,
-            perm.clone(),
-            &SupernodalOptions { parallel: false, ..opts },
-        ).expect("SPD");
-        for cap in [1usize, 2, 8, 33] {
-            let parallel = WorkPool::new(cap).install(|| {
-                SupernodalCholesky::factor_with_permutation(&a, perm.clone(), &opts)
-                    .expect("SPD")
-            });
-            for (p, q) in serial.factor_values().iter().zip(parallel.factor_values()) {
-                prop_assert_eq!(p.to_bits(), q.to_bits(), "cap {}", cap);
-            }
-        }
-    }
-
-    /// `scope_dag` runs every node exactly once and never starts a node
-    /// before its tree children completed, for random forests and caps.
-    #[test]
-    fn scope_dag_runs_every_node_once_in_topo_order(cap in 1usize..9,
-                                                    parents in prop::collection::vec(
-                                                        0usize..1000, 2..40)) {
-        // Normalize to a valid heap-ordered forest: parent[i] > i or root.
-        let n = parents.len();
-        let parent: Vec<usize> = parents
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let p = i + 1 + p % (n - i);
-                if p >= n { usize::MAX } else { p }
-            })
-            .collect();
-        let dag = TaskDag::from_parents(&parent);
-        let clock = AtomicUsize::new(0);
-        let seq: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let pool = WorkPool::new(cap);
-        let used = pool.scope_dag(64, &dag, |i| {
-            runs[i].fetch_add(1, Ordering::Relaxed);
-            seq[i].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-        });
-        prop_assert!(0 < used && used <= cap);
-        for i in 0..n {
-            prop_assert_eq!(runs[i].load(Ordering::Relaxed), 1, "node {} run count", i);
-            if parent[i] != usize::MAX {
-                prop_assert!(
-                    seq[i].load(Ordering::SeqCst) < seq[parent[i]].load(Ordering::SeqCst),
-                    "node {} ran after its parent {}", i, parent[i]
-                );
             }
         }
     }
